@@ -13,6 +13,7 @@
 #include "doc/serialization.hpp"
 #include "eval/metrics.hpp"
 #include "ocr/ocr.hpp"
+#include "util/rng.hpp"
 
 namespace vs2 {
 namespace {
@@ -278,6 +279,39 @@ TEST(PipelineDeterminismTest, SameInputsSameExtractions) {
       EXPECT_EQ(a->extractions[i].text, b->extractions[i].text);
       EXPECT_EQ(a->extractions[i].block_bbox, b->extractions[i].block_bbox);
     }
+  }
+}
+
+// The response bytes of `Process` (triage off, shipped per-dataset config)
+// over a small seeded corpus, pinned as one FNV-1a digest per dataset. Any
+// change to segmentation, selection or serialization shows up here first.
+TEST(PipelineGoldenTest, ProcessResponsesMatchPinnedDigests) {
+  const embed::Embedding& emb = datasets::PretrainedEmbedding();
+  const struct {
+    doc::DatasetId dataset;
+    uint64_t digest;
+  } kGolden[] = {
+      {doc::DatasetId::kD1TaxForms, 0x72d6d49239a84e83ULL},
+      {doc::DatasetId::kD2EventPosters, 0x3ff035fbe91134f2ULL},
+      {doc::DatasetId::kD3RealEstateFlyers, 0x6b3bba51fc98d661ULL},
+  };
+  for (const auto& golden : kGolden) {
+    core::Vs2 vs2(golden.dataset, emb, core::DefaultConfigFor(golden.dataset));
+    datasets::GeneratorConfig gc;
+    gc.num_documents = 12;
+    gc.seed = 4242;
+    std::string responses;
+    for (const doc::Document& d :
+         datasets::Generate(golden.dataset, gc).documents) {
+      auto result = vs2.Process(d);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      responses += doc::ExtractionsToJson(*result);
+      responses.push_back('\n');
+    }
+    EXPECT_NE(responses.find("\"entity\""), std::string::npos);
+    EXPECT_EQ(util::Fnv1a64(responses), golden.digest)
+        << "dataset " << static_cast<int>(golden.dataset) << " digest 0x"
+        << std::hex << util::Fnv1a64(responses);
   }
 }
 
