@@ -23,6 +23,7 @@
 #include "check/check.hpp"
 #include "core/pattern_learner.hpp"
 #include "core/pipeline.hpp"
+#include "core/segmenter_reference.hpp"
 #include "datasets/pretrained.hpp"
 #include "nlp/analyzer.hpp"
 #include "nlp/chunk_tree.hpp"
@@ -149,7 +150,7 @@ BENCHMARK(BM_Segment_NoMerge);
 void BM_Segment_RasterReuse(benchmark::State& state) {
   const doc::Document& d = SampleObserved();
   const auto& emb = datasets::PretrainedEmbedding();
-  core::SegmenterConfig config;  // reuse_page_raster defaults to true
+  core::SegmenterConfig config;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::Segment(d, emb, config));
   }
@@ -159,10 +160,11 @@ BENCHMARK(BM_Segment_RasterReuse);
 void BM_Segment_NoRasterReuse(benchmark::State& state) {
   const doc::Document& d = SampleObserved();
   const auto& emb = datasets::PretrainedEmbedding();
-  core::SegmenterConfig config;
-  config.reuse_page_raster = false;
+  core::SegmentReferencePaths paths;
+  paths.rasterize_per_node = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Segment(d, emb, config));
+    benchmark::DoNotOptimize(
+        core::SegmentWithReferencePaths(d, emb, {}, paths));
   }
 }
 BENCHMARK(BM_Segment_NoRasterReuse);
@@ -529,37 +531,16 @@ bool WriteSegmentJson(const std::string& path) {
         core::BandedVerticalCuts(g, 8, core::CutKernel::kBitParallel));
   });
 
-  core::SegmenterConfig baseline_cfg;
-  baseline_cfg.cut_kernel = core::CutKernel::kScalar;
-  baseline_cfg.reuse_page_raster = false;
-  core::SegmenterConfig optimized_cfg;  // production defaults
-  double seg_baseline = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, baseline_cfg)); });
-  double seg_optimized = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, optimized_cfg)); });
-  core::SegmenterConfig reuse_only_cfg;
-  reuse_only_cfg.cut_kernel = core::CutKernel::kScalar;
-  double seg_reuse_only = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, reuse_only_cfg)); });
-
-  core::PipelineConfig base_pipeline =
-      core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
-  base_pipeline.segmenter.cut_kernel = core::CutKernel::kScalar;
-  base_pipeline.segmenter.reuse_page_raster = false;
-  core::Vs2 vs2_baseline(doc::DatasetId::kD2EventPosters, emb, base_pipeline);
-  core::Vs2 vs2_optimized(
-      doc::DatasetId::kD2EventPosters, emb,
-      core::DefaultConfigFor(doc::DatasetId::kD2EventPosters));
-  const doc::Document& clean = SamplePoster();
-  // The baseline side also pins the scalar SIMD level so the pair measures
-  // every layer of the optimization stack (cut kernel, raster reuse, SIMD
-  // dispatch); the optimized side runs whatever `kAuto` resolves to here.
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  double proc_baseline = NsPerOp(
-      [&] { benchmark::DoNotOptimize(vs2_baseline.Process(clean)); });
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-  double proc_optimized = NsPerOp(
-      [&] { benchmark::DoNotOptimize(vs2_optimized.Process(clean)); });
+  auto segment_with = [&](core::CutKernel kernel, bool rasterize_per_node) {
+    return NsPerOp([&] {
+      benchmark::DoNotOptimize(core::SegmentWithReferencePaths(
+          d, emb, {}, {kernel, rasterize_per_node}));
+    });
+  };
+  double seg_baseline = segment_with(core::CutKernel::kScalar, true);
+  double seg_optimized =
+      NsPerOp([&] { benchmark::DoNotOptimize(core::Segment(d, emb)); });
+  double seg_reuse_only = segment_with(core::CutKernel::kScalar, false);
 
   // Scalar/vector pairs for the dispatched kernels themselves.
   const std::vector<float> cos_a = RandomUnitVec(256, 7);
@@ -654,8 +635,6 @@ bool WriteSegmentJson(const std::string& path) {
       "\"speedup\": %.2f},\n"
       "  \"segment\": {\"baseline_ns\": %.1f, \"raster_reuse_only_ns\": %.1f, "
       "\"optimized_ns\": %.1f, \"speedup\": %.2f},\n"
-      "  \"process\": {\"baseline_ns\": %.1f, \"optimized_ns\": %.1f, "
-      "\"speedup\": %.2f},\n"
       "  \"simd\": {\"level\": \"%s\",\n"
       "    \"cosine_f32\": {\"scalar_ns\": %.1f, \"simd_ns\": %.1f, "
       "\"speedup\": %.2f},\n"
@@ -669,8 +648,7 @@ bool WriteSegmentJson(const std::string& path) {
       "}\n",
       g.width(), g.height(), g.OccupancyRatio(), cuts_scalar, cuts_bitp,
       cuts_scalar / cuts_bitp, seg_baseline, seg_reuse_only, seg_optimized,
-      seg_baseline / seg_optimized, proc_baseline, proc_optimized,
-      proc_baseline / proc_optimized,
+      seg_baseline / seg_optimized,
       util::simd::LevelName(util::simd::DetectedLevel()), cosine_scalar,
       cosine_simd, cosine_scalar / cosine_simd, drow_scalar, drow_simd,
       drow_scalar / drow_simd, obs_plain_ns, obs_windowed_ns,
@@ -680,11 +658,11 @@ bool WriteSegmentJson(const std::string& path) {
   std::fclose(f);
   std::fprintf(stderr,
                "bench_micro: wrote %s (cut kernel %.2fx, segment %.2fx, "
-               "process %.2fx, %s cosine %.2fx, distance row %.2fx, "
+               "%s cosine %.2fx, distance row %.2fx, "
                "windowed record %.2fx plain, sync wrapper %.2fx raw, "
                "order checker %.2fx unchecked)\n",
                path.c_str(), cuts_scalar / cuts_bitp,
-               seg_baseline / seg_optimized, proc_baseline / proc_optimized,
+               seg_baseline / seg_optimized,
                util::simd::LevelName(util::simd::DetectedLevel()),
                cosine_scalar / cosine_simd, drow_scalar / drow_simd,
                obs_windowed_ns / obs_plain_ns, sync_mutex_ns / std_mutex_ns,

@@ -8,8 +8,6 @@
 /// parallel `BatchEngine` throughput comparison over the full VS2
 /// pipeline, emitted as a `batch-json` line. `--trace=FILE` writes a
 /// Chrome trace of the run; `--metrics=FILE` dumps the metrics registry.
-/// `--triage=auto` swaps A6 for the routed segmenter (DESIGN.md §16) so
-/// the table shows the accuracy cost of lane routing.
 
 #include <cstdio>
 
@@ -20,14 +18,9 @@ using namespace vs2;
 
 int main(int argc, char** argv) {
   size_t jobs = bench::ParseJobsFlag(argc, argv);
-  triage::TriageMode triage_mode = bench::ParseTriageFlag(argc, argv);
   bench::ObsFlags obs_flags = bench::ParseObsFlags(argc, argv);
   bench::PrintBenchHeader(
       "Table 5: Evaluation of VS2-Segment on experimental datasets");
-  if (triage_mode != triage::TriageMode::kOff) {
-    std::printf("triage: %s (A6 routes through the pre-classifier)\n\n",
-                triage::TriageModeName(triage_mode));
-  }
 
   const embed::Embedding& embedding = datasets::PretrainedEmbedding();
   ocr::OcrConfig ocr_config;
@@ -45,7 +38,7 @@ int main(int argc, char** argv) {
                           "D2 Pr(%)", "D2 Rec(%)", "D3 Pr(%)", "D3 Rec(%)"});
 
   std::vector<bench::SegMethod> methods =
-      bench::Table5Methods(embedding, ocr_config, triage_mode);
+      bench::Table5Methods(embedding, ocr_config);
   for (size_t m = 0; m < methods.size(); ++m) {
     std::vector<std::string> row = {
         util::Format("A%zu", m + 1), methods[m].name};

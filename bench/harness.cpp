@@ -95,8 +95,7 @@ std::vector<util::BBox> TextLeafBoxes(const doc::Document& observed,
 }  // namespace
 
 std::vector<SegMethod> Table5Methods(const embed::Embedding& embedding,
-                                     const ocr::OcrConfig& ocr,
-                                     triage::TriageMode triage_mode) {
+                                     const ocr::OcrConfig& ocr) {
   (void)ocr;  // observation happens once in ObserveCorpus
   auto boxes_of = [](const std::vector<baselines::SegBlock>& blocks) {
     std::vector<util::BBox> out;
@@ -131,39 +130,14 @@ std::vector<SegMethod> Table5Methods(const embed::Embedding& embedding,
                                       -> Result<std::vector<util::BBox>> {
                        return boxes_of(baselines::SegmentTesseract(observed));
                      }});
-  if (triage_mode == triage::TriageMode::kOff) {
-    methods.push_back(
-        {"VS2-Segment", [&embedding](const doc::Document& observed)
-                            -> Result<std::vector<util::BBox>> {
-           core::SegmenterConfig config;
-           VS2_ASSIGN_OR_RETURN(doc::LayoutTree tree,
-                                core::Segment(observed, embedding, config));
-           return TextLeafBoxes(observed, tree);
-         }});
-  } else {
-    // Routed A6: classify, then segment on the decided lane.
-    triage::TriageConfig triage_config;
-    triage_config.mode = triage_mode;
-    methods.push_back(
-        {"VS2-Segment[triage]",
-         [&embedding, triage_config](const doc::Document& observed)
-             -> Result<std::vector<util::BBox>> {
-           triage::TriageDecision decision =
-               triage::Classify(observed, triage_config);
-           if (decision.lane == triage::Lane::kSkip) {
-             return std::vector<util::BBox>{};
-           }
-           if (decision.lane == triage::Lane::kFast) {
-             doc::LayoutTree tree =
-                 triage::XYCutLayoutTree(observed, triage_config.xycut);
-             return TextLeafBoxes(observed, tree);
-           }
-           core::SegmenterConfig config;
-           VS2_ASSIGN_OR_RETURN(doc::LayoutTree tree,
-                                core::Segment(observed, embedding, config));
-           return TextLeafBoxes(observed, tree);
-         }});
-  }
+  methods.push_back(
+      {"VS2-Segment", [&embedding](const doc::Document& observed)
+                          -> Result<std::vector<util::BBox>> {
+         core::SegmenterConfig config;
+         VS2_ASSIGN_OR_RETURN(doc::LayoutTree tree,
+                              core::Segment(observed, embedding, config));
+         return TextLeafBoxes(observed, tree);
+       }});
   return methods;
 }
 
@@ -245,7 +219,7 @@ triage::TriageMode ParseTriageFlag(int argc, char** argv) {
       if (triage::ParseTriageMode(argv[i] + 9, &mode)) return mode;
       std::fprintf(stderr,
                    "ignoring bad --triage value \"%s\" (expected auto, "
-                   "skip, fast, full or off)\n",
+                   "skip, full or off)\n",
                    argv[i] + 9);
     }
   }

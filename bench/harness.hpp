@@ -49,13 +49,9 @@ struct SegMethod {
   std::function<Result<std::vector<util::BBox>>(const doc::Document&)> run;
 };
 
-/// The six Table 5 contenders, in paper order (A1–A6). With a triage mode
-/// other than `kOff`, A6 becomes the routed segmenter: each document is
-/// classified first, FAST documents take the shared XY-cut splitter, SKIP
-/// documents propose nothing, FULL documents run VS2-Segment unchanged.
-std::vector<SegMethod> Table5Methods(
-    const embed::Embedding& embedding, const ocr::OcrConfig& ocr,
-    triage::TriageMode triage_mode = triage::TriageMode::kOff);
+/// The six Table 5 contenders, in paper order (A1–A6).
+std::vector<SegMethod> Table5Methods(const embed::Embedding& embedding,
+                                     const ocr::OcrConfig& ocr);
 
 /// Runs a segmentation method over a corpus; aggregates Sec 6.2 phase-1
 /// precision/recall. Returns false when NotApplicable for this corpus.
@@ -84,7 +80,7 @@ void PrintBenchHeader(const std::string& title);
 /// path — when the flag is absent or malformed; 0 is normalized to 1.
 size_t ParseJobsFlag(int argc, char** argv);
 
-/// Parses `--triage=auto|skip|fast|full|off` (DESIGN.md §16). Returns
+/// Parses `--triage=auto|skip|full|off` (DESIGN.md §16). Returns
 /// `kOff` — the seed-identical reference path — when the flag is absent;
 /// warns and returns `kOff` on an unknown value.
 triage::TriageMode ParseTriageFlag(int argc, char** argv);

@@ -6,12 +6,12 @@
 ///
 /// Usage:
 ///   vs2_extract [--dataset 1|2|3] [--no-ocr-noise] [--jobs N]
-///               [--triage=auto|skip|fast|full] [--trace=FILE]
+///               [--triage=auto|skip|full] [--trace=FILE]
 ///               [--metrics=FILE] [file.json...]
 ///   ... | vs2_extract --dataset 2
 ///
 /// `--triage=auto` routes each document through the pre-classifier
-/// (DESIGN.md §16) before the pipeline; `skip`/`fast`/`full` force one lane
+/// (DESIGN.md §16) before the pipeline; `skip`/`full` force one lane
 /// for A/B runs. The chosen lane and the classifier features are printed to
 /// stderr per document.
 ///
@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--triage=", 9) == 0) {
       if (!triage::ParseTriageMode(argv[i] + 9, &triage_mode)) {
         std::fprintf(stderr,
-                     "bad --triage value \"%s\": expected auto, skip, fast, "
-                     "full or off\n",
+                     "bad --triage value \"%s\": expected auto, skip, full "
+                     "or off\n",
                      argv[i] + 9);
         return 2;
       }
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fprintf(stderr,
                    "usage: vs2_extract [--dataset 1|2|3] [--no-ocr-noise] "
-                   "[--jobs N] [--triage=auto|skip|fast|full] [--trace=FILE] "
+                   "[--jobs N] [--triage=auto|skip|full] [--trace=FILE] "
                    "[--metrics=FILE] [--demo] [file.json...]\n");
       return 0;
     } else {

@@ -10,7 +10,7 @@
 ///             [--worker-bin PATH] [--sock-dir DIR] [--jobs N]
 ///             [--queue-depth N] [--cache-entries N] [--virtual-nodes N]
 ///             [--health-interval SECONDS] [--shed-fraction F]
-///             [--triage=auto|skip|fast|full]
+///             [--triage=auto|skip|full]
 ///
 /// `--triage` is passed through to every spawned worker (responses carry
 /// the routed `"lane"`); the router always counts the fleet's traffic mix
@@ -55,7 +55,7 @@ void Usage() {
       "                 [--sock-dir DIR] [--jobs N] [--queue-depth N]\n"
       "                 [--cache-entries N] [--virtual-nodes N]\n"
       "                 [--health-interval SECONDS] [--shed-fraction F]\n"
-      "                 [--triage=auto|skip|fast|full]\n");
+      "                 [--triage=auto|skip|full]\n");
 }
 
 /// `vs2_serve` sitting next to this binary; falls back to PATH lookup.
@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
       triage::TriageMode mode;
       if (!triage::ParseTriageMode(argv[i] + 9, &mode)) {
         std::fprintf(stderr,
-                     "bad --triage value \"%s\": expected auto, skip, fast, "
-                     "full or off\n",
+                     "bad --triage value \"%s\": expected auto, skip, full "
+                     "or off\n",
                      argv[i] + 9);
         return 2;
       }

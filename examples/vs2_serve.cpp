@@ -10,7 +10,7 @@
 ///   vs2_serve [--dataset 1|2|3] [--unix PATH | --port N] [--jobs N]
 ///             [--queue-depth N] [--cache-entries N] [--cache-ttl SECONDS]
 ///             [--deadline-ms MS] [--no-ocr-noise]
-///             [--triage=auto|skip|fast|full]
+///             [--triage=auto|skip|full]
 ///             [--trace=FILE] [--metrics=FILE] [--profile=FILE]
 ///
 /// With `--triage`, every response object leads with the routed
@@ -53,7 +53,7 @@ void Usage() {
       "usage: vs2_serve [--dataset 1|2|3] [--unix PATH | --port N]\n"
       "                 [--jobs N] [--queue-depth N] [--cache-entries N]\n"
       "                 [--cache-ttl SECONDS] [--deadline-ms MS]\n"
-      "                 [--no-ocr-noise] [--triage=auto|skip|fast|full]\n"
+      "                 [--no-ocr-noise] [--triage=auto|skip|full]\n"
       "                 [--trace=FILE] [--metrics=FILE] [--profile=FILE]\n");
 }
 
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--triage=", 9) == 0) {
       if (!triage::ParseTriageMode(argv[i] + 9, &triage_mode)) {
         std::fprintf(stderr,
-                     "bad --triage value \"%s\": expected auto, skip, fast, "
-                     "full or off\n",
+                     "bad --triage value \"%s\": expected auto, skip, full "
+                     "or off\n",
                      argv[i] + 9);
         return 2;
       }

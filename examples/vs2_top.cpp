@@ -270,14 +270,10 @@ void PrintFleetFrame(const string& stats, const string& health,
   string triage = Object(router, "triage");
   if (!triage.empty()) {
     double skip = Number(triage, "skip");
-    double fast = Number(triage, "fast");
     double full = Number(triage, "full");
-    double total = skip + fast + full;
-    std::printf(
-        "triage: skip %.0f  fast %.0f  full %.0f  (%.0f%% off the full "
-        "path)\n",
-        skip, fast, full,
-        total > 0 ? 100.0 * (skip + fast) / total : 0.0);
+    double total = skip + full;
+    std::printf("triage: skip %.0f  full %.0f  (%.0f%% skipped)\n", skip,
+                full, total > 0 ? 100.0 * skip / total : 0.0);
   }
   string totals = Object(fleet, "totals");
   std::printf(

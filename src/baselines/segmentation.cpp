@@ -78,8 +78,7 @@ std::vector<SegBlock> SegmentTextOnly(const Document& doc,
 }
 
 std::vector<SegBlock> SegmentXYCut(const Document& doc) {
-  // The recursive splitter lives in triage/xycut (shared with the triage
-  // fast path — one implementation, no copy-paste drift); this wrapper only
+  // The recursive splitter lives in triage/xycut; this wrapper only
   // materializes the leaf groups as blocks.
   std::vector<SegBlock> blocks;
   for (std::vector<size_t>& group : triage::XYCutPartition(doc)) {

@@ -299,6 +299,11 @@ PatternBook LearnPatterns(const datasets::HoldoutCorpus& holdout,
     }
     book.entities.push_back(std::move(learned));
   }
+  for (LearnedEntityPatterns& learned : book.entities) {
+    for (const SyntacticPattern& p : learned.patterns) {
+      learned.descriptors.push_back(nlp::PrepareDescriptor(p));
+    }
+  }
   return book;
 }
 

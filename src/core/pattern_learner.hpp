@@ -30,6 +30,11 @@ struct LearnedEntityPatterns {
   std::string entity;
   std::vector<nlp::SyntacticPattern> patterns;
   std::vector<mining::MinedPattern> mined;  ///< supporting subtrees
+  /// `nlp::PrepareDescriptor` of each pattern, parallel to `patterns`
+  /// (empty `want` for non-descriptor kinds). Filled by `LearnPatterns`, so
+  /// VS2-Select never re-tokenizes a descriptor per document; a book built
+  /// without it still matches the same through `nlp::MatchPattern`.
+  std::vector<nlp::PreparedDescriptor> descriptors;
 };
 
 /// The full pattern book for a dataset. Plain data, written once by

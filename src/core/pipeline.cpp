@@ -34,6 +34,8 @@ Result<doc::LayoutTree> Vs2::SegmentOnly(const doc::Document& observed) const {
                        Segment(observed, embedding_, config_.segmenter));
   if (check::AuditsEnabled()) {
     check::LayoutTreeAuditOptions audit_options;
+    // Semantic merging replaces two leaves at `max_depth` with a merged
+    // child one level below them.
     audit_options.max_depth = config_.segmenter.max_depth + 1;
     VS2_RETURN_IF_ERROR(check::AuditLayoutTree(tree, observed, audit_options)
                             .ToStatus("vs2.segment.layout_tree"));
@@ -41,24 +43,8 @@ Result<doc::LayoutTree> Vs2::SegmentOnly(const doc::Document& observed) const {
   return tree;
 }
 
-Result<Vs2::DocResult> Vs2::Process(const doc::Document& doc) const {
-  return ProcessRouted(doc, StageCheckpoint(), config_.triage);
-}
-
 Result<Vs2::DocResult> Vs2::Process(const doc::Document& doc,
                                     const StageCheckpoint& checkpoint) const {
-  return ProcessRouted(doc, checkpoint, config_.triage);
-}
-
-Result<Vs2::DocResult> Vs2::ProcessWithTriage(
-    const doc::Document& doc, const triage::TriageConfig& triage,
-    const StageCheckpoint& checkpoint) const {
-  return ProcessRouted(doc, checkpoint, triage);
-}
-
-Result<Vs2::DocResult> Vs2::ProcessRouted(
-    const doc::Document& doc, const StageCheckpoint& checkpoint,
-    const triage::TriageConfig& triage) const {
   // Stage latencies always feed the registry (a clock read per stage); the
   // same spans land in the trace only when tracing is on. The whole-pipeline
   // span additionally feeds the rolling-window view behind `{"cmd":"stats"}`.
@@ -74,8 +60,7 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
   documents_windowed.Add(1);
 
   DocResult result;
-  const bool triage_on = triage.mode != triage::TriageMode::kOff;
-  if (triage_on) {
+  if (config_.triage.mode != triage::TriageMode::kOff) {
     // Pre-classification (DESIGN.md §16): a coarse-grid feature pass routes
     // the document before any expensive stage runs. The histogram's lowest
     // bucket starts at 50µs — the classifier's whole budget — so a healthy
@@ -84,24 +69,20 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
         obs::Metrics::GetHistogram("triage.classify_ms");
     static obs::Counter* lane_totals[] = {
         &obs::Metrics::GetCounter("triage.lane.skip"),
-        &obs::Metrics::GetCounter("triage.lane.fast"),
         &obs::Metrics::GetCounter("triage.lane.full"),
     };
     static obs::WindowedCounter* lane_windows[] = {
         &obs::Metrics::GetWindowedCounter("triage.lane.skip"),
-        &obs::Metrics::GetWindowedCounter("triage.lane.fast"),
         &obs::Metrics::GetWindowedCounter("triage.lane.full"),
     };
     {
       obs::Span span("vs2.triage", &classify_ms);
-      result.triage = triage::Classify(doc, triage);
+      result.triage = triage::Classify(doc, config_.triage);
     }
     size_t lane_index = static_cast<size_t>(result.triage.lane);
     lane_totals[lane_index]->Add(1);
     lane_windows[lane_index]->Add(1);
   }
-  const triage::Lane lane =
-      triage_on ? result.triage.lane : triage::Lane::kFull;
 
   if (checkpoint) VS2_RETURN_IF_ERROR(checkpoint());
   {
@@ -119,7 +100,7 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
     VS2_RETURN_IF_ERROR(check::AuditDocument(result.observed)
                             .ToStatus("vs2.ocr_observe.document"));
   }
-  if (lane == triage::Lane::kSkip) {
+  if (result.triage.lane == triage::Lane::kSkip) {
     // SKIP lane: near-empty/decorative page. Return the empty (root-only)
     // layout model immediately — no segmentation, no selection.
     result.tree = doc::LayoutTree::ForDocument(result.observed);
@@ -129,27 +110,7 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
   {
     static obs::Histogram& h = obs::Metrics::GetHistogram("vs2.segment_ms");
     obs::Span span("vs2.segment", &h);
-    if (lane == triage::Lane::kFast) {
-      // FAST lane: the page is straight-cut separable, so the shared XY-cut
-      // splitter builds the layout model; VS2-Select runs on it unchanged.
-      result.tree = triage::XYCutLayoutTree(result.observed, triage.xycut);
-    } else {
-      VS2_ASSIGN_OR_RETURN(
-          result.tree,
-          Segment(result.observed, embedding_, config_.segmenter));
-    }
-  }
-  if (check::AuditsEnabled()) {
-    check::LayoutTreeAuditOptions audit_options;
-    // Semantic merging replaces two leaves at `max_depth` with a merged
-    // child one level below them; the fast path's depth cap is the
-    // splitter's own.
-    audit_options.max_depth = lane == triage::Lane::kFast
-                                  ? triage.xycut.max_depth + 1
-                                  : config_.segmenter.max_depth + 1;
-    VS2_RETURN_IF_ERROR(
-        check::AuditLayoutTree(result.tree, result.observed, audit_options)
-            .ToStatus("vs2.segment.layout_tree"));
+    VS2_ASSIGN_OR_RETURN(result.tree, SegmentOnly(result.observed));
   }
   if (checkpoint) VS2_RETURN_IF_ERROR(checkpoint());
   {
@@ -164,12 +125,8 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
     static obs::Histogram& h =
         obs::Metrics::GetHistogram("vs2.select_entities_ms");
     obs::Span span("vs2.select_entities", &h);
-    SelectConfig select = config_.select;
-    // FAST lane: form-regime descriptor-indexed search — identical matches,
-    // a fraction of the search cost on descriptor-heavy pattern books.
-    if (lane == triage::Lane::kFast) select.descriptor_index = true;
     result.extractions = SelectEntities(result.observed, result.tree, book_,
-                                        specs_, embedding_, select);
+                                        specs_, embedding_, config_.select);
   }
   return result;
 }

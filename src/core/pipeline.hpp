@@ -64,31 +64,21 @@ class Vs2 {
     triage::TriageDecision triage;
   };
 
-  /// Runs the full pipeline on one document. Reentrant: depends only on
-  /// `doc` and state frozen at construction, so concurrent calls (and
-  /// repeated calls on the same document) give bit-identical results.
-  Result<DocResult> Process(const doc::Document& doc) const;
-
   /// Consulted between pipeline stages when processing under a deadline or
   /// cancellation scope; a non-OK return aborts the remaining stages and
   /// becomes the result of `Process`. Must be cheap — it runs four times
   /// per document.
   using StageCheckpoint = std::function<Status()>;
 
-  /// As `Process(doc)`, additionally calling `checkpoint` before each
-  /// stage. With a null or always-OK checkpoint the result is bit-identical
-  /// to `Process(doc)` — the serving layer's deadline enforcement relies on
-  /// that equivalence.
-  Result<DocResult> Process(const doc::Document& doc,
-                            const StageCheckpoint& checkpoint) const;
-
-  /// As `Process`, but routing per `triage` instead of `config().triage` —
-  /// the A/B entry point. Benches compare lanes on one `Vs2` instance (one
-  /// pattern-learning pass) instead of constructing a pipeline per mode.
-  Result<DocResult> ProcessWithTriage(const doc::Document& doc,
-                                      const triage::TriageConfig& triage,
-                                      const StageCheckpoint& checkpoint =
-                                          StageCheckpoint()) const;
+  /// Runs the full pipeline on one document, calling `checkpoint` (when
+  /// set) before each stage. Reentrant: depends only on `doc` and state
+  /// frozen at construction, so concurrent calls (and repeated calls on the
+  /// same document) give bit-identical results. With a null or always-OK
+  /// checkpoint the result is the same as without one — the serving
+  /// layer's deadline enforcement relies on that equivalence.
+  Result<DocResult> Process(
+      const doc::Document& doc,
+      const StageCheckpoint& checkpoint = StageCheckpoint()) const;
 
   /// Segmentation only (phase 1), on the observed document.
   Result<doc::LayoutTree> SegmentOnly(const doc::Document& observed) const;
@@ -101,10 +91,6 @@ class Vs2 {
   doc::DatasetId dataset() const { return dataset_; }
 
  private:
-  Result<DocResult> ProcessRouted(const doc::Document& doc,
-                                  const StageCheckpoint& checkpoint,
-                                  const triage::TriageConfig& triage) const;
-
   doc::DatasetId dataset_;
   const embed::Embedding& embedding_;
   PipelineConfig config_;

@@ -1,4 +1,5 @@
 #include "core/segmenter.hpp"
+#include "core/segmenter_reference.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -595,6 +596,7 @@ bool SemanticMergePass(const Document& doc, LayoutTree* tree, size_t parent,
 void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
                       const embed::Embedding& embedding,
                       const SegmenterConfig& config,
+                      const SegmentReferencePaths& paths,
                       const raster::PageRaster* page,
                       NodeEmbedCache* embed_cache, util::Arena* arena) {
   const doc::LayoutNode& node = tree->node(node_id);
@@ -658,7 +660,7 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
     boxes.reserve(indices.size());
     for (size_t i : indices) boxes.push_back(doc.elements[i].bbox);
     CutOptions cut_options;
-    cut_options.kernel = config.cut_kernel;
+    cut_options.kernel = paths.kernel;
     if (page) {
       cut_options.page = page;
       cut_options.element_ids = &indices;
@@ -714,8 +716,8 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
   // Recurse into the (possibly merged) children.
   std::vector<size_t> children = tree->node(node_id).children;
   for (size_t child : children) {
-    SegmentRecursive(doc, tree, child, embedding, config, page, embed_cache,
-                     arena);
+    SegmentRecursive(doc, tree, child, embedding, config, paths, page,
+                     embed_cache, arena);
   }
 }
 
@@ -724,6 +726,12 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
 Result<doc::LayoutTree> Segment(const Document& doc,
                                 const embed::Embedding& embedding,
                                 const SegmenterConfig& config) {
+  return SegmentWithReferencePaths(doc, embedding, config, {});
+}
+
+Result<doc::LayoutTree> SegmentWithReferencePaths(
+    const Document& doc, const embed::Embedding& embedding,
+    const SegmenterConfig& config, const SegmentReferencePaths& paths) {
   if (doc.width <= 0.0 || doc.height <= 0.0) {
     return Status::InvalidArgument("document has no page geometry");
   }
@@ -732,7 +740,7 @@ Result<doc::LayoutTree> Segment(const Document& doc,
     // Snap every element box to the page lattice exactly once; the
     // recursion crops per-node sub-grids from this rasterization.
     raster::PageRaster page;
-    if (config.reuse_page_raster) {
+    if (!paths.rasterize_per_node) {
       std::vector<util::BBox> boxes;
       boxes.reserve(doc.elements.size());
       for (const doc::AtomicElement& el : doc.elements) {
@@ -744,9 +752,9 @@ Result<doc::LayoutTree> Segment(const Document& doc,
     // One arena per call: clustering scratch (distance matrices) is rewound
     // between steps and its chunks are reused across the whole recursion.
     util::Arena arena;
-    SegmentRecursive(doc, &tree, tree.root(), embedding, config,
-                     config.reuse_page_raster ? &page : nullptr,
-                     &embed_cache, &arena);
+    SegmentRecursive(doc, &tree, tree.root(), embedding, config, paths,
+                     paths.rasterize_per_node ? nullptr : &page, &embed_cache,
+                     &arena);
   }
   VS2_RETURN_IF_ERROR(tree.Validate(doc));
   return tree;

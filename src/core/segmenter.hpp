@@ -62,18 +62,6 @@ struct SegmenterConfig {
 
   /// Maximum clusters per clustering step (2×2 seed grid).
   int cluster_grid = 2;
-
-  /// Cut-kernel selection (DESIGN.md §11): the bit-parallel wavefront is
-  /// the production kernel; the scalar banded DP stays as the reference
-  /// implementation and produces bit-identical cuts.
-  CutKernel cut_kernel = CutKernel::kBitParallel;
-
-  /// Snap every element box to the page lattice once per `Segment` call and
-  /// crop per-node sub-grids from that rasterization, instead of re-clipping
-  /// and re-scaling the boxes at every recursion depth. Bit-identical to the
-  /// per-node path (both place cells by the same integer arithmetic); off is
-  /// only useful for differential tests and benches.
-  bool reuse_page_raster = true;
 };
 
 /// \brief The paper's Table 1 feature vector for one atomic element,
@@ -102,7 +90,10 @@ double VisualDistance(const VisualFeatures& a, const VisualFeatures& b,
                       const doc::AtomicElement& eb, const util::BBox& region);
 
 /// \brief Runs VS2-Segment and returns the layout tree. `embedding`
-/// provides the Word2Vec-style vectors for Eq. 1.
+/// provides the Word2Vec-style vectors for Eq. 1. Every element box is
+/// snapped to the page lattice once per call and the recursion crops
+/// per-node sub-grids from that rasterization; cuts come from the
+/// bit-parallel kernel (DESIGN.md §11).
 ///
 /// Thread-safe: a pure function of its arguments (all taken by const
 /// reference and never captured), so concurrent calls — even on the same

@@ -226,14 +226,11 @@ std::vector<Extraction> SelectEntities(
   };
   std::vector<EntityCandidates> per_entity;
 
-  // Form-regime acceleration (FAST lane): per-block token-length masks for
-  // the descriptor prefilter, computed once per document.
+  // Per-block token-length masks for the descriptor prefilter.
   std::vector<uint64_t> length_masks;
-  if (config.descriptor_index) {
-    length_masks.reserve(blocks.size());
-    for (const BlockContext& b : blocks) {
-      length_masks.push_back(nlp::TokenLengthMask(b.analyzed));
-    }
+  length_masks.reserve(blocks.size());
+  for (const BlockContext& b : blocks) {
+    length_masks.push_back(nlp::TokenLengthMask(b.analyzed));
   }
 
   static obs::Counter& patterns_matched =
@@ -243,27 +240,16 @@ std::vector<Extraction> SelectEntities(
     if (learned == nullptr || learned->patterns.empty()) continue;
     VS2_TRACE_SPAN_ARG("select.search_entity", learned->patterns.size());
 
-    // Pre-tokenized descriptors, parallel to `learned->patterns`; an empty
-    // `want` marks a pattern the generic matcher handles. Prepared once
-    // per entity instead of once per (entity, block).
-    std::vector<nlp::PreparedDescriptor> prepared;
-    if (config.descriptor_index) {
-      prepared.reserve(learned->patterns.size());
-      for (const nlp::SyntacticPattern& pattern : learned->patterns) {
-        prepared.push_back(nlp::PrepareDescriptor(pattern));
-      }
-    }
-
     std::vector<Candidate> candidates;
     for (size_t bi = 0; bi < blocks.size(); ++bi) {
       for (size_t pi = 0; pi < learned->patterns.size(); ++pi) {
         const nlp::SyntacticPattern& pattern = learned->patterns[pi];
-        if (config.descriptor_index && !prepared[pi].want.empty()) {
-          if (!nlp::DescriptorMayMatch(length_masks[bi], prepared[pi])) {
-            continue;
-          }
-          for (const nlp::PatternMatch& m : nlp::MatchPreparedDescriptor(
-                   blocks[bi].analyzed, prepared[pi])) {
+        if (pi < learned->descriptors.size() &&
+            !learned->descriptors[pi].want.empty()) {
+          const nlp::PreparedDescriptor& prep = learned->descriptors[pi];
+          if (!nlp::DescriptorMayMatch(length_masks[bi], prep)) continue;
+          for (const nlp::PatternMatch& m :
+               nlp::MatchPreparedDescriptor(blocks[bi].analyzed, prep)) {
             candidates.push_back({bi, m, pattern.kind});
           }
           continue;

@@ -56,16 +56,6 @@ struct SelectConfig {
   double affinity_weight = 0.30;
   /// Weight of the pattern's own specificity score subtracted from F.
   double pattern_weight = 0.30;
-  /// Form-regime search acceleration (the triage FAST lane, DESIGN.md §16):
-  /// field-descriptor patterns are pre-tokenized once and matched with a
-  /// budget-bounded edit distance behind a token-length prefilter. The
-  /// matches — and therefore the extractions — are identical to the
-  /// generic search; only the cost changes. Worth it exactly when the
-  /// pattern book is descriptor-heavy with a high miss rate (hundreds of
-  /// form fields, one face per document), which is what routing a document
-  /// to the FAST lane predicts. Off by default: the FULL lane keeps the
-  /// seed code path untouched.
-  bool descriptor_index = false;
 };
 
 /// One extracted key-value pair.

@@ -118,7 +118,6 @@ Router::Stats Router::stats() const {
   stats.markups = markups_;
   stats.restarts = restarts_;
   stats.triage_skip = triage_lanes_[static_cast<size_t>(triage::Lane::kSkip)];
-  stats.triage_fast = triage_lanes_[static_cast<size_t>(triage::Lane::kFast)];
   stats.triage_full = triage_lanes_[static_cast<size_t>(triage::Lane::kFull)];
   return stats;
 }
@@ -414,7 +413,7 @@ std::string Router::MergedStatsJson() {
              "\"router\":{\"forwarded\":%llu,\"rerouted\":%llu,"
              "\"shed_to_sibling\":%llu,\"unavailable\":%llu,"
              "\"bad_document\":%llu,\"markdowns\":%llu,\"markups\":%llu,"
-             "\"restarts\":%llu,\"triage\":{\"skip\":%llu,\"fast\":%llu,"
+             "\"restarts\":%llu,\"triage\":{\"skip\":%llu,"
              "\"full\":%llu}},\"totals\":{\"queue_depth\":%g,"
              "\"in_flight\":%g,\"completed\":%g,\"rejected\":%g,"
              "\"cache_hits\":%g,\"cache_misses\":%g,\"hit_rate\":%.4f,"
@@ -431,7 +430,6 @@ std::string Router::MergedStatsJson() {
              static_cast<unsigned long long>(router_stats.markups),
              static_cast<unsigned long long>(router_stats.restarts),
              static_cast<unsigned long long>(router_stats.triage_skip),
-             static_cast<unsigned long long>(router_stats.triage_fast),
              static_cast<unsigned long long>(router_stats.triage_full),
              totals.queue_depth, totals.in_flight, totals.completed,
              totals.rejected, totals.cache_hits, totals.cache_misses,

@@ -153,7 +153,6 @@ class Router : public serve::LineServer {
     uint64_t markups = 0;
     uint64_t restarts = 0;
     uint64_t triage_skip = 0;  ///< router-side lane counts (traffic mix)
-    uint64_t triage_fast = 0;
     uint64_t triage_full = 0;
   };
   Stats stats() const;
@@ -226,7 +225,7 @@ class Router : public serve::LineServer {
   uint64_t markups_ VS2_GUARDED_BY(mu_) = 0;
   uint64_t restarts_ VS2_GUARDED_BY(mu_) = 0;
   /// indexed by triage::Lane
-  uint64_t triage_lanes_[3] VS2_GUARDED_BY(mu_) = {0, 0, 0};
+  uint64_t triage_lanes_[2] VS2_GUARDED_BY(mu_) = {0, 0};
 
   std::atomic<bool> health_running_{false};
   /// Prober wakeup lock: pairs with `health_cv_` only (never nested with

@@ -368,27 +368,7 @@ std::vector<PatternMatch> MatchPattern(const AnalyzedText& text,
       break;
     }
     case PatternKind::kFieldDescriptor: {
-      if (pattern.args.empty()) break;
-      std::vector<std::string> want;
-      for (const std::string& piece :
-           util::SplitWhitespace(util::ToLower(pattern.args[0]))) {
-        want.push_back(piece);
-      }
-      if (want.empty()) break;
-      for (size_t i = 0; i + want.size() <= tokens.size(); ++i) {
-        bool all = true;
-        for (size_t k = 0; k < want.size(); ++k) {
-          // OCR-tolerant descriptor match: one edit per token (two for
-          // long tokens).
-          const std::string& have = tokens[i + k].lower;
-          size_t budget = want[k].size() >= 8 ? 2 : (want[k].size() >= 4 ? 1 : 0);
-          if (util::Levenshtein(have, want[k]) > budget) {
-            all = false;
-            break;
-          }
-        }
-        if (all) AddNonOverlapping(&out, {i, i + want.size(), 1.0});
-      }
+      out = MatchPreparedDescriptor(text, PrepareDescriptor(pattern));
       break;
     }
   }
@@ -436,8 +416,8 @@ PreparedDescriptor PrepareDescriptor(const SyntacticPattern& pattern) {
   for (const std::string& piece :
        util::SplitWhitespace(util::ToLower(pattern.args[0]))) {
     prep.want.push_back(piece);
-    // Same OCR tolerance as the generic matcher: one edit per token, two
-    // for long tokens.
+    // OCR-tolerant descriptor match: one edit per token, two for long
+    // tokens.
     prep.budgets.push_back(piece.size() >= 8 ? 2
                                              : (piece.size() >= 4 ? 1 : 0));
   }
@@ -492,8 +472,8 @@ std::vector<PatternMatch> MatchPreparedDescriptor(
   const auto& tokens = text.tokens;
   size_t n = prep.want.size();
   for (size_t i = 0; i + n <= tokens.size(); ++i) {
-    // Ascending fixed-length scan: the generic matcher's first-wins
-    // overlap rule reduces to skipping starts inside the last match.
+    // Ascending fixed-length scan: the first-wins rule for overlapping
+    // matches reduces to skipping starts inside the last match.
     if (!out.empty() && i < out.back().end) continue;
     bool all = true;
     for (size_t k = 0; k < n; ++k) {

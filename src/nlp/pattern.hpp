@@ -69,15 +69,14 @@ std::vector<PatternMatch> MatchAny(const AnalyzedText& text,
 
 /// \name Prepared field-descriptor search.
 ///
-/// `MatchPattern` re-tokenizes a `kFieldDescriptor` pattern's literal and
-/// runs an allocating full-matrix edit distance on every call. That is fine
-/// when a pattern book holds a handful of patterns, but a form-regime book
+/// The one matcher for `kFieldDescriptor` patterns. A form-regime book
 /// (D1: one descriptor per field, hundreds of fields, of which one form
-/// face's worth can match a given document) spends nearly all of
-/// VS2-Select re-splitting descriptors and filling DP tables for misses.
-/// Preparing the descriptor once and bounding the edit distance gives the
-/// same matches at a fraction of the cost — `MatchPreparedDescriptor` is
-/// match-for-match identical to `MatchPattern` on the same pattern.
+/// face's worth can match a given document) is mostly misses, so the
+/// descriptor is tokenized once (`PrepareDescriptor`, done at learn time
+/// by `core::LearnPatterns`), a token-length prefilter rejects blocks
+/// that cannot match, and the per-token edit distance stops as soon as it
+/// exceeds its OCR budget. `MatchPattern` on a descriptor pattern prepares
+/// it and runs the same matcher.
 /// @{
 
 /// A `kFieldDescriptor` pattern pre-tokenized for repeated search.
@@ -102,8 +101,8 @@ uint64_t TokenLengthMask(const AnalyzedText& text);
 /// `MatchPreparedDescriptor` would find nothing.
 bool DescriptorMayMatch(uint64_t length_mask, const PreparedDescriptor& prep);
 
-/// Identical matches to `MatchPattern(text, pattern)` for the descriptor
-/// `prep` was prepared from.
+/// Matches of the prepared descriptor in `text`: every token within its
+/// edit budget, in order; overlapping matches keep the first.
 std::vector<PatternMatch> MatchPreparedDescriptor(
     const AnalyzedText& text, const PreparedDescriptor& prep);
 /// @}

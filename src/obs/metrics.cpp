@@ -84,6 +84,28 @@ size_t BucketIndex(double value_ms) {
   return kNumFiniteBuckets;
 }
 
+/// Nearest-rank percentile over the bucket counts of `n` samples
+/// (`counts[kNumFiniteBuckets]` is the overflow bucket), consistent with
+/// SortedPercentile: the upper bound of the rank's bucket, clamped to the
+/// observed [`lo`, `hi`] so no estimate leaves the recorded range. The
+/// overflow bucket resolves to `hi`. Shared by Histogram and
+/// WindowedHistogram.
+double BucketPercentile(const uint64_t* counts, uint64_t n, double p,
+                        double lo, double hi) {
+  if (n == 0) return 0.0;
+  uint64_t rank =
+      static_cast<uint64_t>(std::llround(p * static_cast<double>(n - 1)));
+  rank = std::min(rank, n - 1);
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < kNumFiniteBuckets; ++i) {
+    cumulative += counts[i];
+    if (cumulative > rank) {
+      return std::min(std::max(kBucketBoundsMs[i], lo), hi);
+    }
+  }
+  return hi;
+}
+
 /// Lock-free running min/max via compare-exchange.
 void AtomicMin(std::atomic<double>* slot, double v) {
   double cur = slot->load(std::memory_order_relaxed);
@@ -154,19 +176,9 @@ uint64_t Histogram::BucketCount(size_t i) const {
 }
 
 double Histogram::PercentileEstimate(double p) const {
-  uint64_t n = count();
-  if (n == 0) return 0.0;
-  // Nearest-rank index into the virtual sorted sample, consistent with
-  // SortedPercentile.
-  uint64_t rank = static_cast<uint64_t>(
-      std::llround(p * static_cast<double>(n - 1)));
-  rank = std::min(rank, n - 1);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kNumFiniteBuckets; ++i) {
-    cumulative += BucketCount(i);
-    if (cumulative > rank) return kBucketBoundsMs[i];
-  }
-  return max();  // rank falls in the overflow bucket
+  uint64_t counts[kNumBuckets];
+  for (size_t i = 0; i < kNumBuckets; ++i) counts[i] = BucketCount(i);
+  return BucketPercentile(counts, count(), p, min(), max());
 }
 
 void Histogram::Reset() {
@@ -279,23 +291,10 @@ WindowedHistogram::WindowStats WindowedHistogram::StatsInWindowAt(
   }
   stats.rate_per_sec =
       static_cast<double>(stats.count) / static_cast<double>(window_sec);
-  if (stats.count == 0) return stats;
-  // Nearest-rank estimates from the merged bucket counts, consistent with
-  // Histogram::PercentileEstimate (overflow resolves to the windowed max).
-  auto estimate = [&](double p) {
-    uint64_t rank = static_cast<uint64_t>(
-        std::llround(p * static_cast<double>(stats.count - 1)));
-    rank = std::min(rank, stats.count - 1);
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < kNumFiniteBuckets; ++i) {
-      cumulative += merged[i];
-      if (cumulative > rank) return kBucketBoundsMs[i];
-    }
-    return stats.max;
-  };
-  stats.p50 = estimate(0.50);
-  stats.p95 = estimate(0.95);
-  stats.p99 = estimate(0.99);
+  // The windowed slots record no minimum, so only the max clamps.
+  stats.p50 = BucketPercentile(merged, stats.count, 0.50, 0.0, stats.max);
+  stats.p95 = BucketPercentile(merged, stats.count, 0.95, 0.0, stats.max);
+  stats.p99 = BucketPercentile(merged, stats.count, 0.99, 0.0, stats.max);
   return stats;
 }
 

@@ -84,10 +84,11 @@ class Gauge {
 /// upper bounds from 50 µs to 10 s plus an overflow bucket. A recorded
 /// value `v` lands in the first bucket whose bound satisfies `v <= bound`.
 /// Percentiles are nearest-rank over the bucket counts and return the
-/// containing bucket's upper bound (the observed maximum for the overflow
-/// bucket) — a conservative estimate whose error is bounded by bucket
-/// width. Exact sample-based percentiles, where the samples are available,
-/// use `Percentile()` instead.
+/// containing bucket's upper bound clamped to the observed [min, max] (the
+/// max for the overflow bucket) — an estimate whose error is bounded by
+/// bucket width and that never leaves the recorded range. Exact
+/// sample-based percentiles, where the samples are available, use
+/// `Percentile()` instead.
 class Histogram {
  public:
   /// Bucket upper bounds in ms, ascending; values above the last bound go
@@ -172,9 +173,9 @@ class WindowedCounter {
 /// lock-free and stays within the cumulative histogram's cost model (one
 /// extra epoch check + the same bucket/sum/max relaxed atomics — see
 /// `BM_WindowedHistogramRecord`). Window reads merge bucket counts across
-/// the covered slots and derive nearest-rank percentile estimates exactly
-/// like `Histogram::PercentileEstimate` (overflow resolves to the windowed
-/// max).
+/// the covered slots and derive nearest-rank percentile estimates with the
+/// estimator `Histogram::PercentileEstimate` uses, clamped to the windowed
+/// max (the slots record no minimum).
 class WindowedHistogram {
  public:
   static constexpr int64_t kMaxWindowSec = 300;

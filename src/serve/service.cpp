@@ -70,12 +70,10 @@ double SteadySeconds() {
 void RecordLaneOutcome(triage::Lane lane, double total_ms) {
   static obs::Counter* totals[] = {
       &obs::Metrics::GetCounter("serve.lane.skip"),
-      &obs::Metrics::GetCounter("serve.lane.fast"),
       &obs::Metrics::GetCounter("serve.lane.full"),
   };
   static obs::WindowedHistogram* latency[] = {
       &obs::Metrics::GetWindowedHistogram("serve.lane.skip"),
-      &obs::Metrics::GetWindowedHistogram("serve.lane.fast"),
       &obs::Metrics::GetWindowedHistogram("serve.lane.full"),
   };
   size_t i = static_cast<size_t>(lane);

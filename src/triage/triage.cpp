@@ -5,7 +5,6 @@ namespace vs2::triage {
 const char* LaneName(Lane lane) {
   switch (lane) {
     case Lane::kSkip: return "skip";
-    case Lane::kFast: return "fast";
     case Lane::kFull: return "full";
   }
   return "full";
@@ -16,7 +15,6 @@ const char* TriageModeName(TriageMode mode) {
     case TriageMode::kOff: return "off";
     case TriageMode::kAuto: return "auto";
     case TriageMode::kForceSkip: return "skip";
-    case TriageMode::kForceFast: return "fast";
     case TriageMode::kForceFull: return "full";
   }
   return "off";
@@ -29,8 +27,6 @@ bool ParseTriageMode(std::string_view text, TriageMode* mode) {
     *mode = TriageMode::kAuto;
   } else if (text == "skip") {
     *mode = TriageMode::kForceSkip;
-  } else if (text == "fast") {
-    *mode = TriageMode::kForceFast;
   } else if (text == "full") {
     *mode = TriageMode::kForceFull;
   } else {
@@ -44,14 +40,6 @@ Lane RouteFeatures(const TriageFeatures& f, const TriageConfig& c) {
       f.occupancy <= c.skip_max_occupancy) {
     return Lane::kSkip;
   }
-  if (f.element_count >= c.fast_min_elements &&
-      f.clear_row_frac >= c.fast_min_clear_row_frac &&
-      f.row_bands >= c.fast_min_row_bands &&
-      f.row_band_spacing_cv <= c.fast_max_row_band_spacing_cv &&
-      f.height_cv <= c.fast_max_height_cv &&
-      f.occupancy <= c.fast_max_occupancy) {
-    return Lane::kFast;
-  }
   return Lane::kFull;
 }
 
@@ -64,10 +52,6 @@ TriageDecision Classify(const doc::Document& doc, const TriageConfig& config) {
       break;
     case TriageMode::kForceSkip:
       decision.lane = Lane::kSkip;
-      decision.forced = true;
-      break;
-    case TriageMode::kForceFast:
-      decision.lane = Lane::kFast;
       decision.forced = true;
       break;
     case TriageMode::kOff:

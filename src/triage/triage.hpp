@@ -3,17 +3,13 @@
 
 /// \file triage.hpp
 /// Microsecond pre-classification in front of the VS2 pipeline
-/// (DESIGN.md §16). Every document is routed to one of three lanes before
+/// (DESIGN.md §16). Every document is routed to one of two lanes before
 /// any expensive stage runs:
 ///
 ///  * **SKIP** — near-empty/decorative pages: the pipeline returns a
 ///    root-only layout tree and no extractions immediately.
-///  * **FAST** — dense rectangular form-like pages (the D1 regime, where
-///    the paper's own Table 5 shows straight-cut methods already work):
-///    the shared XY-cut splitter builds the layout tree, then normal
-///    VS2-Select runs on it.
-///  * **FULL** — free-form pages (the D2 regime): today's complete
-///    VS2-Segment, bit-identical to a pipeline without triage.
+///  * **FULL** — everything else: the complete VS2 pipeline, bit-identical
+///    to a pipeline without triage.
 ///
 /// The classifier itself never mutates anything and records no metrics —
 /// callers (core::Vs2, fleet::Router) own their own accounting, so a router
@@ -24,18 +20,16 @@
 
 #include "doc/document.hpp"
 #include "triage/features.hpp"
-#include "triage/xycut.hpp"
 
 namespace vs2::triage {
 
 /// The processing lane a document is routed to.
 enum class Lane : uint8_t {
   kSkip = 0,
-  kFast = 1,
-  kFull = 2,
+  kFull = 1,
 };
 
-/// Stable lowercase lane name ("skip" / "fast" / "full"); wire-visible.
+/// Stable lowercase lane name ("skip" / "full"); wire-visible.
 const char* LaneName(Lane lane);
 
 /// How the router decides. `kOff` disables triage entirely (zero overhead,
@@ -45,22 +39,18 @@ enum class TriageMode : uint8_t {
   kOff = 0,
   kAuto = 1,
   kForceSkip = 2,
-  kForceFast = 3,
-  kForceFull = 4,
+  kForceFull = 3,
 };
 
-/// Stable mode name ("off" / "auto" / "skip" / "fast" / "full").
+/// Stable mode name ("off" / "auto" / "skip" / "full").
 const char* TriageModeName(TriageMode mode);
 
 /// Parses a `--triage=` flag value (the names above). Returns false on
 /// unknown text, leaving `*mode` untouched.
 bool ParseTriageMode(std::string_view text, TriageMode* mode);
 
-/// Routing thresholds. The defaults are tuned on the three generators
-/// (DESIGN.md §16): D1 tax forms overwhelmingly route FAST, D2 posters and
-/// D3 flyers route FULL, and only near-blank pages route SKIP. FAST gates
-/// are conjunctive and deliberately conservative — a misroute to FULL costs
-/// only speed, a misroute to FAST can cost accuracy.
+/// Routing thresholds: only near-blank pages route SKIP; the three
+/// generators' documents all route FULL (DESIGN.md §16).
 struct TriageConfig {
   TriageMode mode = TriageMode::kOff;
 
@@ -71,21 +61,6 @@ struct TriageConfig {
   // --- SKIP gate: near-empty/decorative pages -----------------------------
   size_t skip_max_elements = 2;    ///< at most this many elements …
   double skip_max_occupancy = 0.02;  ///< … or almost nothing rasterized
-
-  // --- FAST gate: dense rectangular form-like pages (all must hold) -------
-  // Tuned on the seed-2019 observed generator corpora (bench_triage
-  // --features): D1 spans 96..114 elements with height CV <= 0.30 and >= 4
-  // clear row bands even under mobile-capture deskew noise; D2 tops out at
-  // 74 elements, D3 at 72 with height CV >= 1.0.
-  size_t fast_min_elements = 80;      ///< forms are dense
-  double fast_min_clear_row_frac = 0.15;  ///< row-separable …
-  int fast_min_row_bands = 4;         ///< … into several horizontal bands
-  double fast_max_row_band_spacing_cv = 1.25;  ///< skew loosens the rhythm
-  double fast_max_height_cv = 0.45;   ///< near-uniform type size
-  double fast_max_occupancy = 0.75;   ///< some whitespace must remain
-
-  /// Fast-path splitter knobs (defaults match the A2 baseline).
-  XYCutOptions xycut;
 };
 
 /// The routing decision for one document.

@@ -68,27 +68,30 @@ bool TrySplit(const Document& doc, const std::vector<size_t>& idx,
   return true;
 }
 
+constexpr double kMinGapFactor = 0.9;  ///< × median element height …
+constexpr double kMinGapFloor = 8.0;   ///< … never narrower (layout units)
+constexpr int kMaxDepth = 12;          ///< deeper frames become leaves
+
 /// Minimum separator width: proportional to the median element height with
 /// an absolute floor.
-double MinGap(const Document& doc, const XYCutOptions& options) {
+double MinGap(const Document& doc) {
   std::vector<double> heights;
   heights.reserve(doc.elements.size());
   for (const doc::AtomicElement& el : doc.elements) {
     heights.push_back(el.bbox.height);
   }
   double median_h = heights.empty() ? 12.0 : util::Median(heights);
-  return std::max(median_h * options.min_gap_factor, options.min_gap_floor);
+  return std::max(median_h * kMinGapFactor, kMinGapFloor);
 }
 
 }  // namespace
 
-std::vector<std::vector<size_t>> XYCutPartition(const Document& doc,
-                                                const XYCutOptions& options) {
+std::vector<std::vector<size_t>> XYCutPartition(const Document& doc) {
   std::vector<std::vector<size_t>> groups;
   if (doc.elements.empty()) return groups;
   std::vector<size_t> all(doc.elements.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  double min_gap = MinGap(doc, options);
+  double min_gap = MinGap(doc);
 
   struct Frame {
     std::vector<size_t> indices;
@@ -99,7 +102,7 @@ std::vector<std::vector<size_t>> XYCutPartition(const Document& doc,
     Frame frame = std::move(stack.back());
     stack.pop_back();
     std::vector<size_t> lo, hi;
-    if (frame.indices.size() <= 1 || frame.depth > options.max_depth ||
+    if (frame.indices.size() <= 1 || frame.depth > kMaxDepth ||
         !TrySplit(doc, frame.indices, min_gap, &lo, &hi)) {
       groups.push_back(std::move(frame.indices));
       continue;
@@ -108,34 +111,6 @@ std::vector<std::vector<size_t>> XYCutPartition(const Document& doc,
     stack.push_back({std::move(hi), frame.depth + 1});
   }
   return groups;
-}
-
-doc::LayoutTree XYCutLayoutTree(const Document& doc,
-                                const XYCutOptions& options) {
-  doc::LayoutTree tree = doc::LayoutTree::ForDocument(doc);
-  if (doc.elements.empty()) return tree;
-  double min_gap = MinGap(doc, options);
-
-  struct Frame {
-    size_t node;
-    int depth;
-  };
-  std::vector<Frame> stack{{tree.root(), 0}};
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
-    const std::vector<size_t>& idx = tree.node(frame.node).element_indices;
-    if (idx.size() <= 1 || frame.depth > options.max_depth) continue;
-    std::vector<size_t> lo, hi;
-    if (!TrySplit(doc, idx, min_gap, &lo, &hi)) continue;
-    // Children in reading order (low coordinate first); traversal order does
-    // not affect the resulting tree.
-    size_t lo_node = tree.AddChild(doc, frame.node, std::move(lo));
-    size_t hi_node = tree.AddChild(doc, frame.node, std::move(hi));
-    stack.push_back({lo_node, frame.depth + 1});
-    stack.push_back({hi_node, frame.depth + 1});
-  }
-  return tree;
 }
 
 }  // namespace vs2::triage

@@ -5,47 +5,24 @@
 /// The recursive XY-cut splitter (Krishnamoorthy et al.): straight
 /// horizontal/vertical projection-profile gaps, widest gap first.
 ///
-/// One implementation, two consumers (DESIGN.md §16):
-///  * the Table 5/7 **A2 baseline** (`baselines::SegmentXYCut`) wants the
-///    flat leaf partition;
-///  * the triage **fast path** wants the full recursion trace as a
-///    `doc::LayoutTree` so VS2-Select can walk it like any other layout
-///    model.
-/// Hoisting it here keeps the two from drifting apart.
+/// Its one consumer is the Table 5/7 **A2 baseline**
+/// (`baselines::SegmentXYCut`), which wants the flat leaf partition.
 
 #include <cstddef>
 #include <vector>
 
 #include "doc/document.hpp"
-#include "doc/layout_tree.hpp"
 
 namespace vs2::triage {
 
-/// Knobs of the splitter. The defaults reproduce the historical baseline
-/// behavior bit-for-bit; the triage fast path uses them unchanged.
-struct XYCutOptions {
-  /// A gap must be at least `min_gap_factor` × median element height …
-  double min_gap_factor = 0.9;
-  /// … and never narrower than this floor (layout units).
-  double min_gap_floor = 8.0;
-  /// Recursion depth cap; frames deeper than this become leaves.
-  int max_depth = 12;
-};
-
 /// \brief Recursive XY-cut partition of all elements of `doc`.
 ///
-/// Returns leaf element-index groups in the historical emission order of the
-/// baseline implementation (depth-first, high side of each split first).
-/// Empty documents yield an empty partition.
-std::vector<std::vector<size_t>> XYCutPartition(const doc::Document& doc,
-                                                const XYCutOptions& options = {});
-
-/// \brief The same recursion as a layout tree: the root covers the page,
-/// every split adds its low/high sides (reading order) as children, and the
-/// leaves are exactly the groups of `XYCutPartition`. The result satisfies
-/// `LayoutTree::Validate` and has height at most `options.max_depth + 1`.
-doc::LayoutTree XYCutLayoutTree(const doc::Document& doc,
-                                const XYCutOptions& options = {});
+/// A gap splits a group when it is at least 0.9 × the median element height
+/// and never narrower than 8 layout units; frames deeper than 12 splits
+/// become leaves. Returns leaf element-index groups in the historical
+/// emission order of the baseline implementation (depth-first, high side of
+/// each split first). Empty documents yield an empty partition.
+std::vector<std::vector<size_t>> XYCutPartition(const doc::Document& doc);
 
 }  // namespace vs2::triage
 

@@ -1,6 +1,6 @@
 /// Differential tests for the bit-parallel wavefront cut kernel and the
-/// page-raster reuse path (DESIGN.md §11): the production configuration
-/// (kBitParallel + reuse_page_raster) must be *bit-for-bit* identical to
+/// page-raster reuse path (DESIGN.md §11): the production path
+/// (kBitParallel + page-raster reuse) must be *bit-for-bit* identical to
 /// the scalar reference at every level — raw cut vectors, separator runs,
 /// and whole layout trees.
 
@@ -10,6 +10,7 @@
 
 #include "core/cuts.hpp"
 #include "core/segmenter.hpp"
+#include "core/segmenter_reference.hpp"
 #include "datasets/generator.hpp"
 #include "datasets/pretrained.hpp"
 #include "ocr/ocr.hpp"
@@ -198,22 +199,21 @@ TEST(CutKernelDifferentialTest, LayoutTreesIdenticalOnDatasetSamples) {
     for (const doc::Document& clean : sample.corpus.documents) {
       doc::Document observed = ocr::Transcribe(clean, {});
 
-      SegmenterConfig reference;
-      reference.cut_kernel = CutKernel::kScalar;
-      reference.reuse_page_raster = false;
-      auto ref_tree = Segment(observed, emb, reference);
+      auto ref_tree = SegmentWithReferencePaths(
+          observed, emb, {}, {CutKernel::kScalar, /*rasterize_per_node=*/true});
       ASSERT_TRUE(ref_tree.ok()) << sample.name;
 
-      // Every optimized configuration against the scalar/no-reuse reference.
+      // Every optimized combination against the scalar/no-reuse reference;
+      // bit-parallel + reuse is the production `Segment`.
       for (auto [kernel, reuse] :
            std::vector<std::pair<CutKernel, bool>>{
                {CutKernel::kBitParallel, false},
                {CutKernel::kScalar, true},
                {CutKernel::kBitParallel, true}}) {
-        SegmenterConfig config;
-        config.cut_kernel = kernel;
-        config.reuse_page_raster = reuse;
-        auto tree = Segment(observed, emb, config);
+        auto tree = kernel == CutKernel::kBitParallel && reuse
+                        ? Segment(observed, emb)
+                        : SegmentWithReferencePaths(observed, emb, {},
+                                                    {kernel, !reuse});
         ASSERT_TRUE(tree.ok()) << sample.name;
         ExpectTreesIdentical(
             ref_tree.value(), tree.value(),

@@ -1,21 +1,14 @@
 /// Tests for src/triage: classifier features, lane routing (pinned
-/// decisions per generator), the hoisted XY-cut splitter, force-lane
-/// override equivalence, and the FAST lane's descriptor-indexed search
-/// (DESIGN.md §16).
+/// decisions per generator), the XY-cut splitter and force-lane override
+/// equivalence (DESIGN.md §16).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "core/segmenter.hpp"
-#include "core/select.hpp"
 #include "datasets/generator.hpp"
 #include "datasets/pretrained.hpp"
-#include "nlp/analyzer.hpp"
-#include "nlp/pattern.hpp"
 #include "triage/features.hpp"
 #include "triage/triage.hpp"
 #include "triage/xycut.hpp"
@@ -111,12 +104,11 @@ TEST(TriageFeaturesTest, ToJsonIsWellFormed) {
 TEST(TriageRouteTest, PinnedLanesPerGenerator) {
   TriageConfig config;
   config.mode = TriageMode::kAuto;
-  // D1 tax forms: every document routes FAST.
+  // D1 tax forms, D2 posters and D3 flyers: every document routes FULL.
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD1TaxForms, 8, 2019).documents) {
-    EXPECT_EQ(Classify(d, config).lane, Lane::kFast) << "doc " << d.id;
+    EXPECT_EQ(Classify(d, config).lane, Lane::kFull) << "doc " << d.id;
   }
-  // D2 posters and D3 flyers: every document routes FULL.
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD2EventPosters, 8, 2019).documents) {
     EXPECT_EQ(Classify(d, config).lane, Lane::kFull) << "doc " << d.id;
@@ -133,7 +125,7 @@ TEST(TriageRouteTest, PinnedLanesPerGenerator) {
 TEST(TriageRouteTest, MisrouteAccountingOnMixedCorpus) {
   TriageConfig config;
   config.mode = TriageMode::kAuto;
-  size_t lanes[3] = {0, 0, 0};
+  size_t lanes[2] = {0, 0};
   size_t misroutes = 0;
   auto route = [&](const doc::Document& d, Lane expected) {
     Lane lane = Classify(d, config).lane;
@@ -142,7 +134,7 @@ TEST(TriageRouteTest, MisrouteAccountingOnMixedCorpus) {
   };
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD1TaxForms, 6, 77).documents) {
-    route(d, Lane::kFast);
+    route(d, Lane::kFull);
   }
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD2EventPosters, 6, 77).documents) {
@@ -155,8 +147,7 @@ TEST(TriageRouteTest, MisrouteAccountingOnMixedCorpus) {
   route(NearBlankPage(1), Lane::kSkip);
   EXPECT_EQ(misroutes, 0u);
   EXPECT_EQ(lanes[static_cast<size_t>(Lane::kSkip)], 1u);
-  EXPECT_EQ(lanes[static_cast<size_t>(Lane::kFast)], 6u);
-  EXPECT_EQ(lanes[static_cast<size_t>(Lane::kFull)], 12u);
+  EXPECT_EQ(lanes[static_cast<size_t>(Lane::kFull)], 18u);
 }
 
 TEST(TriageRouteTest, ForceModesPinTheLane) {
@@ -165,8 +156,6 @@ TEST(TriageRouteTest, ForceModesPinTheLane) {
   config.mode = TriageMode::kForceSkip;
   EXPECT_EQ(Classify(d, config).lane, Lane::kSkip);
   EXPECT_TRUE(Classify(d, config).forced);
-  config.mode = TriageMode::kForceFast;
-  EXPECT_EQ(Classify(d, config).lane, Lane::kFast);
   config.mode = TriageMode::kForceFull;
   EXPECT_EQ(Classify(d, config).lane, Lane::kFull);
   // Features are still computed under force modes (the A/B payload).
@@ -179,8 +168,6 @@ TEST(TriageRouteTest, ParseTriageModeNamesRoundTrip) {
   EXPECT_EQ(mode, TriageMode::kAuto);
   EXPECT_TRUE(ParseTriageMode("skip", &mode));
   EXPECT_EQ(mode, TriageMode::kForceSkip);
-  EXPECT_TRUE(ParseTriageMode("fast", &mode));
-  EXPECT_EQ(mode, TriageMode::kForceFast);
   EXPECT_TRUE(ParseTriageMode("full", &mode));
   EXPECT_EQ(mode, TriageMode::kForceFull);
   EXPECT_TRUE(ParseTriageMode("off", &mode));
@@ -188,97 +175,16 @@ TEST(TriageRouteTest, ParseTriageModeNamesRoundTrip) {
   mode = TriageMode::kAuto;
   EXPECT_FALSE(ParseTriageMode("warp", &mode));
   EXPECT_EQ(mode, TriageMode::kAuto);  // untouched on failure
+  EXPECT_FALSE(ParseTriageMode("fast", &mode));  // the retired FAST lane
 }
 
 // --------------------------------------------------------------- XY-cut --
-
-TEST(XYCutTest, LayoutTreeLeavesMatchPartitionGroups) {
-  for (const doc::Document& d :
-       SmallCorpus(doc::DatasetId::kD1TaxForms, 3, 11).documents) {
-    std::vector<std::vector<size_t>> groups = XYCutPartition(d);
-    doc::LayoutTree tree = XYCutLayoutTree(d);
-    std::set<std::set<size_t>> group_sets;
-    for (const auto& g : groups) {
-      group_sets.insert(std::set<size_t>(g.begin(), g.end()));
-    }
-    std::set<std::set<size_t>> leaf_sets;
-    for (size_t leaf : tree.Leaves()) {
-      const auto& idx = tree.node(leaf).element_indices;
-      leaf_sets.insert(std::set<size_t>(idx.begin(), idx.end()));
-    }
-    EXPECT_EQ(group_sets, leaf_sets);
-    EXPECT_TRUE(tree.Validate(d).ok());
-  }
-}
 
 TEST(XYCutTest, SingleElementDocumentIsOneLeaf) {
   doc::Document d = NearBlankPage(1);
   std::vector<std::vector<size_t>> groups = XYCutPartition(d);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], std::vector<size_t>{0});
-}
-
-// -------------------------------------------- Prepared descriptor search --
-
-TEST(PreparedDescriptorTest, WithinEditBudgetMatchesLevenshtein) {
-  const char* words[] = {"total",    "tota1",   "amount", "amovnt",
-                         "due",      "d",       "",       "propertyaddress",
-                         "pr0perty", "address", "addres", "organizer"};
-  for (const char* a : words) {
-    for (const char* b : words) {
-      for (size_t budget = 0; budget <= 2; ++budget) {
-        EXPECT_EQ(nlp::WithinEditBudget(a, b, budget),
-                  util::Levenshtein(a, b) <= budget)
-            << a << " vs " << b << " budget " << budget;
-      }
-    }
-  }
-}
-
-TEST(PreparedDescriptorTest, MatchesIdenticalToGenericMatcher) {
-  nlp::SyntacticPattern pattern;
-  pattern.kind = nlp::PatternKind::kFieldDescriptor;
-  pattern.args = {"Total Amount Due"};
-  nlp::PreparedDescriptor prep = nlp::PrepareDescriptor(pattern);
-  ASSERT_EQ(prep.want.size(), 3u);
-
-  const char* texts[] = {
-      "total amount due 1250",
-      "Total Amount Due 1250 and total amount due again",
-      "subtotal amount due",       // leading token differs beyond budget
-      "tota1 amovnt due 99",       // OCR-corrupted within budget
-      "nothing relevant here",
-      "total amount",              // truncated descriptor
-      "due amount total",          // right tokens, wrong order
-  };
-  for (const char* text : texts) {
-    nlp::AnalyzedText analyzed = nlp::Analyze(text);
-    std::vector<nlp::PatternMatch> generic =
-        nlp::MatchPattern(analyzed, pattern);
-    std::vector<nlp::PatternMatch> prepared =
-        nlp::MatchPreparedDescriptor(analyzed, prep);
-    ASSERT_EQ(generic.size(), prepared.size()) << text;
-    for (size_t i = 0; i < generic.size(); ++i) {
-      EXPECT_EQ(generic[i].begin, prepared[i].begin) << text;
-      EXPECT_EQ(generic[i].end, prepared[i].end) << text;
-      EXPECT_DOUBLE_EQ(generic[i].score, prepared[i].score) << text;
-    }
-    // The length prefilter never rejects a text the matcher accepts.
-    if (!generic.empty()) {
-      EXPECT_TRUE(nlp::DescriptorMayMatch(nlp::TokenLengthMask(analyzed),
-                                          prep))
-          << text;
-    }
-  }
-}
-
-TEST(PreparedDescriptorTest, NonDescriptorPatternsPrepareEmpty) {
-  nlp::SyntacticPattern np;
-  np.kind = nlp::PatternKind::kNounPhraseModified;
-  EXPECT_TRUE(nlp::PrepareDescriptor(np).want.empty());
-  nlp::SyntacticPattern empty_descriptor;
-  empty_descriptor.kind = nlp::PatternKind::kFieldDescriptor;
-  EXPECT_TRUE(nlp::PrepareDescriptor(empty_descriptor).want.empty());
 }
 
 // ------------------------------------------------------ Pipeline wiring --
@@ -303,13 +209,13 @@ TEST(TriagePipelineTest, ForceFullIsBitIdenticalToTriageOff) {
   core::PipelineConfig config =
       core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
   core::Vs2 vs2(doc::DatasetId::kD2EventPosters, emb, config);
-  TriageConfig full;
-  full.mode = TriageMode::kForceFull;
+  config.triage.mode = TriageMode::kForceFull;
+  core::Vs2 vs2_full(doc::DatasetId::kD2EventPosters, emb, config);
 
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD2EventPosters, 3, 42).documents) {
     auto off = vs2.Process(d);          // triage off: the seed path
-    auto forced = vs2.ProcessWithTriage(d, full);
+    auto forced = vs2_full.Process(d);
     ASSERT_TRUE(off.ok());
     ASSERT_TRUE(forced.ok());
     EXPECT_EQ(off->tree.size(), forced->tree.size());
@@ -325,12 +231,11 @@ TEST(TriagePipelineTest, SkipLaneReturnsRootOnlyTree) {
   core::PipelineConfig config =
       core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
   config.simulate_ocr = false;  // observed == input, element counts compare
+  config.triage.mode = TriageMode::kForceSkip;
   core::Vs2 vs2(doc::DatasetId::kD2EventPosters, emb, config);
-  TriageConfig skip;
-  skip.mode = TriageMode::kForceSkip;
 
   doc::Corpus corpus = SmallCorpus(doc::DatasetId::kD2EventPosters, 1, 5);
-  auto r = vs2.ProcessWithTriage(corpus.documents[0], skip);
+  auto r = vs2.Process(corpus.documents[0]);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->tree.size(), 1u);  // root only
   EXPECT_TRUE(r->extractions.empty());
@@ -341,7 +246,7 @@ TEST(TriagePipelineTest, SkipLaneReturnsRootOnlyTree) {
             corpus.documents[0].elements.size());
 }
 
-TEST(TriagePipelineTest, AutoRoutesD1FastWithLaneInResult) {
+TEST(TriagePipelineTest, AutoRoutesD1FullWithLaneInResult) {
   const embed::Embedding& emb = datasets::PretrainedEmbedding();
   core::PipelineConfig config =
       core::DefaultConfigFor(doc::DatasetId::kD1TaxForms);
@@ -352,33 +257,10 @@ TEST(TriagePipelineTest, AutoRoutesD1FastWithLaneInResult) {
   for (const doc::Document& d : corpus.documents) {
     auto r = vs2.Process(d);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->triage.lane, Lane::kFast);
+    EXPECT_EQ(r->triage.lane, Lane::kFull);
     EXPECT_FALSE(r->triage.forced);
     EXPECT_GT(r->triage.features.element_count, 0u);
     EXPECT_FALSE(r->extractions.empty());
-  }
-}
-
-TEST(TriagePipelineTest, DescriptorIndexSelectsIdenticalExtractions) {
-  const embed::Embedding& emb = datasets::PretrainedEmbedding();
-  core::PipelineConfig config =
-      core::DefaultConfigFor(doc::DatasetId::kD1TaxForms);
-  core::Vs2 vs2(doc::DatasetId::kD1TaxForms, emb, config);
-  std::vector<datasets::EntitySpec> specs =
-      datasets::EntitySpecsFor(doc::DatasetId::kD1TaxForms);
-
-  for (const doc::Document& d :
-       SmallCorpus(doc::DatasetId::kD1TaxForms, 2, 9).documents) {
-    doc::LayoutTree tree = XYCutLayoutTree(d);
-    core::SelectConfig generic = config.select;
-    core::SelectConfig indexed = config.select;
-    indexed.descriptor_index = true;
-    std::vector<core::Extraction> a = core::SelectEntities(
-        d, tree, vs2.pattern_book(), specs, emb, generic);
-    std::vector<core::Extraction> b = core::SelectEntities(
-        d, tree, vs2.pattern_book(), specs, emb, indexed);
-    EXPECT_EQ(Keys(a), Keys(b));
-    EXPECT_FALSE(a.empty());
   }
 }
 
