@@ -29,8 +29,6 @@
 #include "nlp/chunk_tree.hpp"
 #include "nlp/pattern.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/sync.hpp"
 
 using namespace vs2;
@@ -376,109 +374,6 @@ void BM_SyncMutexPair_CheckerOn(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncMutexPair_CheckerOn);
 
-// --------------------------------------------------- SIMD kernel pairs ----
-// Scalar/vector pairs for the runtime-dispatched kernels (DESIGN.md §13).
-// Each pair pins `util::simd::ForceLevel` around the loop so both sides run
-// in one binary; `kAuto` resolves to the best level the host supports.
-
-std::vector<float> RandomUnitVec(size_t n, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<float> v(n);
-  for (float& x : v) x = static_cast<float>(rng.UniformDouble() - 0.5);
-  return v;
-}
-
-/// Synthetic clustering features sized like a dense D2 page region.
-const util::simd::FeatureSoA& BenchSoA() {
-  static const util::simd::FeatureSoA* soa = [] {
-    auto* s = new util::simd::FeatureSoA();
-    util::Rng rng(1234);
-    constexpr size_t kN = 512;
-    s->Reserve(kN);
-    for (size_t i = 0; i < kN; ++i) {
-      s->centroid_x.push_back(rng.UniformDouble() * 800.0);
-      s->centroid_y.push_back(rng.UniformDouble() * 1000.0);
-      s->height.push_back(8.0 + rng.UniformDouble() * 24.0);
-      s->lab_l.push_back(rng.UniformDouble() * 100.0);
-      s->lab_a.push_back(rng.UniformDouble() * 80.0 - 40.0);
-      s->lab_b.push_back(rng.UniformDouble() * 80.0 - 40.0);
-      s->angular.push_back(rng.UniformDouble() * 2.0);
-      s->theta_origin.push_back(rng.UniformDouble() * 1.5);
-      s->theta_anti.push_back(rng.UniformDouble() * 1.5);
-    }
-    return s;
-  }();
-  return *soa;
-}
-
-void BM_CosineF32_Scalar(benchmark::State& state) {
-  static const std::vector<float> a = RandomUnitVec(256, 7);
-  static const std::vector<float> b = RandomUnitVec(256, 8);
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::simd::CosineF32(a.data(), b.data(), a.size()));
-  }
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-}
-BENCHMARK(BM_CosineF32_Scalar);
-
-void BM_CosineF32_Simd(benchmark::State& state) {
-  static const std::vector<float> a = RandomUnitVec(256, 7);
-  static const std::vector<float> b = RandomUnitVec(256, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::simd::CosineF32(a.data(), b.data(), a.size()));
-  }
-}
-BENCHMARK(BM_CosineF32_Simd);
-
-void BM_VisualDistanceRow_Scalar(benchmark::State& state) {
-  const util::simd::FeatureSoA& soa = BenchSoA();
-  std::vector<double> row(soa.size());
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  for (auto _ : state) {
-    util::simd::VisualDistanceRow(soa, soa.size() / 2, row.data());
-    benchmark::DoNotOptimize(row.data());
-  }
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-}
-BENCHMARK(BM_VisualDistanceRow_Scalar);
-
-void BM_VisualDistanceRow_Simd(benchmark::State& state) {
-  const util::simd::FeatureSoA& soa = BenchSoA();
-  std::vector<double> row(soa.size());
-  for (auto _ : state) {
-    util::simd::VisualDistanceRow(soa, soa.size() / 2, row.data());
-    benchmark::DoNotOptimize(row.data());
-  }
-}
-BENCHMARK(BM_VisualDistanceRow_Simd);
-
-void BM_ClusterElements_Scalar(benchmark::State& state) {
-  const doc::Document& d = SampleObserved();
-  std::vector<size_t> idx = d.TextElementIndices();
-  util::BBox region{0, 0, d.width, d.height};
-  core::SegmenterConfig config;
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ClusterElements(d, idx, region, config));
-  }
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-}
-BENCHMARK(BM_ClusterElements_Scalar);
-
-void BM_ClusterElements_Simd(benchmark::State& state) {
-  const doc::Document& d = SampleObserved();
-  std::vector<size_t> idx = d.TextElementIndices();
-  util::BBox region{0, 0, d.width, d.height};
-  core::SegmenterConfig config;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ClusterElements(d, idx, region, config));
-  }
-}
-BENCHMARK(BM_ClusterElements_Simd);
-
 // ------------------------------------------------- BENCH_segment.json -----
 
 /// Median-of-batches wall time per call of `fn`, in nanoseconds.
@@ -541,30 +436,6 @@ bool WriteSegmentJson(const std::string& path) {
   double seg_optimized =
       NsPerOp([&] { benchmark::DoNotOptimize(core::Segment(d, emb)); });
   double seg_reuse_only = segment_with(core::CutKernel::kScalar, false);
-
-  // Scalar/vector pairs for the dispatched kernels themselves.
-  const std::vector<float> cos_a = RandomUnitVec(256, 7);
-  const std::vector<float> cos_b = RandomUnitVec(256, 8);
-  const util::simd::FeatureSoA& soa = BenchSoA();
-  std::vector<double> row(soa.size());
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  double cosine_scalar = NsPerOp([&] {
-    benchmark::DoNotOptimize(
-        util::simd::CosineF32(cos_a.data(), cos_b.data(), cos_a.size()));
-  });
-  double drow_scalar = NsPerOp([&] {
-    util::simd::VisualDistanceRow(soa, soa.size() / 2, row.data());
-    benchmark::DoNotOptimize(row.data());
-  });
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-  double cosine_simd = NsPerOp([&] {
-    benchmark::DoNotOptimize(
-        util::simd::CosineF32(cos_a.data(), cos_b.data(), cos_a.size()));
-  });
-  double drow_simd = NsPerOp([&] {
-    util::simd::VisualDistanceRow(soa, soa.size() / 2, row.data());
-    benchmark::DoNotOptimize(row.data());
-  });
 
   // Telemetry-plane record cost (DESIGN.md §14): the windowed record must
   // stay within 2x of the plain histogram it extends. Each timed call is a
@@ -635,11 +506,6 @@ bool WriteSegmentJson(const std::string& path) {
       "\"speedup\": %.2f},\n"
       "  \"segment\": {\"baseline_ns\": %.1f, \"raster_reuse_only_ns\": %.1f, "
       "\"optimized_ns\": %.1f, \"speedup\": %.2f},\n"
-      "  \"simd\": {\"level\": \"%s\",\n"
-      "    \"cosine_f32\": {\"scalar_ns\": %.1f, \"simd_ns\": %.1f, "
-      "\"speedup\": %.2f},\n"
-      "    \"distance_row\": {\"scalar_ns\": %.1f, \"simd_ns\": %.1f, "
-      "\"speedup\": %.2f}},\n"
       "  \"obs\": {\"histogram_record_ns\": %.2f, "
       "\"windowed_record_ns\": %.2f, \"ratio\": %.2f},\n"
       "  \"sync\": {\"std_mutex_ns\": %.2f, \"sync_mutex_ns\": %.2f, "
@@ -648,24 +514,17 @@ bool WriteSegmentJson(const std::string& path) {
       "}\n",
       g.width(), g.height(), g.OccupancyRatio(), cuts_scalar, cuts_bitp,
       cuts_scalar / cuts_bitp, seg_baseline, seg_reuse_only, seg_optimized,
-      seg_baseline / seg_optimized,
-      util::simd::LevelName(util::simd::DetectedLevel()), cosine_scalar,
-      cosine_simd, cosine_scalar / cosine_simd, drow_scalar, drow_simd,
-      drow_scalar / drow_simd, obs_plain_ns, obs_windowed_ns,
+      seg_baseline / seg_optimized, obs_plain_ns, obs_windowed_ns,
       obs_windowed_ns / obs_plain_ns, std_mutex_ns, sync_mutex_ns,
       sync_mutex_ns / std_mutex_ns, pair_off_ns, pair_on_ns,
       pair_on_ns / pair_off_ns);
   std::fclose(f);
   std::fprintf(stderr,
                "bench_micro: wrote %s (cut kernel %.2fx, segment %.2fx, "
-               "%s cosine %.2fx, distance row %.2fx, "
                "windowed record %.2fx plain, sync wrapper %.2fx raw, "
                "order checker %.2fx unchecked)\n",
                path.c_str(), cuts_scalar / cuts_bitp,
-               seg_baseline / seg_optimized,
-               util::simd::LevelName(util::simd::DetectedLevel()),
-               cosine_scalar / cosine_simd, drow_scalar / drow_simd,
-               obs_windowed_ns / obs_plain_ns, sync_mutex_ns / std_mutex_ns,
+               seg_baseline / seg_optimized, obs_windowed_ns / obs_plain_ns, sync_mutex_ns / std_mutex_ns,
                pair_on_ns / pair_off_ns);
   return true;
 }

@@ -7,7 +7,6 @@
 #include "nlp/analyzer.hpp"
 #include "nlp/chunk_tree.hpp"
 #include "obs/log.hpp"
-#include "util/arena.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::core {
@@ -16,19 +15,13 @@ namespace {
 using nlp::PatternKind;
 using nlp::SyntacticPattern;
 
-mining::FlatTree Flatten(const nlp::ParseNode& node, util::Arena* arena) {
+mining::FlatTree Flatten(const nlp::ParseNode& node) {
   mining::FlatTree tree;
   struct Frame {
     const nlp::ParseNode* node;
     int parent;
   };
-  // The traversal stack lives in the learner's arena: every Flatten call in
-  // the transactions loop reuses the same retained chunk instead of
-  // mallocing a fresh stack per annotated text.
-  util::ArenaScope scope(arena);
-  std::vector<Frame, util::ArenaAllocator<Frame>> stack{
-      util::ArenaAllocator<Frame>(arena)};
-  stack.push_back({&node, -1});
+  std::vector<Frame> stack{{&node, -1}};
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
@@ -194,11 +187,9 @@ PatternBook LearnPatterns(const datasets::HoldoutCorpus& holdout,
     // Frequent-subtree mining over the annotated texts' feature trees.
     std::vector<mining::FlatTree> transactions;
     transactions.reserve(entries.size());
-    util::Arena flatten_arena;
     for (const auto* e : entries) {
       nlp::AnalyzedText analyzed = nlp::Analyze(e->text);
-      transactions.push_back(
-          Flatten(nlp::BuildChunkTree(analyzed), &flatten_arena));
+      transactions.push_back(Flatten(nlp::BuildChunkTree(analyzed)));
     }
     mining::MinerConfig miner;
     miner.min_support = std::max<size_t>(

@@ -8,9 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/arena.hpp"
 #include "util/math.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::core {
@@ -142,43 +140,67 @@ double VisualDistance(const VisualFeatures& a, const VisualFeatures& b,
   return std::sqrt(d);
 }
 
-namespace {
-
-/// Fills the Table 1 SoA for one clustering step, precomputing the two
-/// angular terms of `util::SumOfAngularDistances` per element (the pairwise
-/// sum decomposes as |θo_i − θo_j| + |θa_i − θa_j|, collapsing the n² atan2
-/// calls of the pairwise path to n).
 void FillFeatureSoA(const Document& doc,
                     const std::vector<size_t>& element_indices,
                     const std::vector<VisualFeatures>& features,
-                    const util::BBox& region, util::simd::FeatureSoA* soa) {
+                    const BBox& region, FeatureSoA* soa) {
   const double w = std::max(region.width, 1.0);
   const double h = std::max(region.height, 1.0);
-  soa->Clear();
-  soa->Reserve(features.size());
-  for (size_t fi = 0; fi < features.size(); ++fi) {
-    const VisualFeatures& f = features[fi];
-    soa->centroid_x.push_back(f.centroid_x);
-    soa->centroid_y.push_back(f.centroid_y);
-    soa->height.push_back(f.height);
-    soa->lab_l.push_back(f.lab_l);
-    soa->lab_a.push_back(f.lab_a);
-    soa->lab_b.push_back(f.lab_b);
-    soa->angular.push_back(f.angular_distance);
-    util::PointF c = doc.elements[element_indices[fi]].bbox.Centroid();
-    soa->theta_origin.push_back(std::atan2(c.y, c.x));
-    soa->theta_anti.push_back(std::atan2(h - c.y, w - c.x));
+  const size_t n = features.size();
+  for (std::vector<double>* column :
+       {&soa->centroid_x, &soa->centroid_y, &soa->height, &soa->lab_l,
+        &soa->lab_a, &soa->lab_b, &soa->angular, &soa->theta_origin,
+        &soa->theta_anti}) {
+    column->resize(n);
+  }
+  for (size_t k = 0; k < n; ++k) {
+    const VisualFeatures& f = features[k];
+    soa->centroid_x[k] = f.centroid_x;
+    soa->centroid_y[k] = f.centroid_y;
+    soa->height[k] = f.height;
+    soa->lab_l[k] = f.lab_l;
+    soa->lab_a[k] = f.lab_a;
+    soa->lab_b[k] = f.lab_b;
+    soa->angular[k] = f.angular_distance;
+    util::PointF c = doc.elements[element_indices[k]].bbox.Centroid();
+    soa->theta_origin[k] = std::atan2(c.y, c.x);
+    soa->theta_anti[k] = std::atan2(h - c.y, w - c.x);
   }
 }
+
+double VisualDistancePair(const FeatureSoA& f, size_t i, size_t j) {
+  // The exact operation order of `VisualDistance`: a parenthesized sum for
+  // the position and LAB groups, left-to-right `w * diff * diff` for the
+  // height and angle terms, and the angular-sum term divided by π² last.
+  double d = 0.0;
+  double dx = f.centroid_x[i] - f.centroid_x[j];
+  double dy = f.centroid_y[i] - f.centroid_y[j];
+  d += 3.0 * (dx * dx + dy * dy);
+  double dh = f.height[i] - f.height[j];
+  d += 1.2 * dh * dh;
+  double dl = f.lab_l[i] - f.lab_l[j];
+  double da = f.lab_a[i] - f.lab_a[j];
+  double db = f.lab_b[i] - f.lab_b[j];
+  d += 0.6 * (dl * dl + da * da + db * db);
+  double dang = f.angular[i] - f.angular[j];
+  d += 0.4 * dang * dang;
+  double sum_ang = std::abs(f.theta_origin[i] - f.theta_origin[j]) +
+                   std::abs(f.theta_anti[i] - f.theta_anti[j]);
+  d += 0.15 * sum_ang * sum_ang / (M_PI * M_PI);
+  return std::sqrt(d);
+}
+
+namespace {
 
 /// Above this element count the n×n distance matrix is not materialized
 /// (32 MB of doubles at the cap) and lookups fall back to on-demand pairs.
 constexpr size_t kDistanceMatrixCap = 2048;
 
-std::vector<std::vector<size_t>> ClusterElementsWithArena(
+}  // namespace
+
+std::vector<std::vector<size_t>> ClusterElements(
     const Document& doc, const std::vector<size_t>& element_indices,
-    const util::BBox& region, const SegmenterConfig& config,
-    util::Arena* arena) {
+    const util::BBox& region, const SegmenterConfig& config) {
   static obs::Counter& cluster_calls =
       obs::Metrics::GetCounter("segment.cluster_calls");
   static obs::Counter& cluster_iterations =
@@ -198,23 +220,25 @@ std::vector<std::vector<size_t>> ClusterElementsWithArena(
   }
 
   // The medoid loops below evaluate Θ(n²) distances per iteration, so the
-  // full matrix is computed once up front with the SIMD row kernel
-  // (bit-identical to `VisualDistance`, see util/simd.hpp) and served from
-  // the per-call arena. Everything allocated here is rewound on return.
-  util::ArenaScope scope(arena);
-  thread_local util::simd::FeatureSoA soa;
+  // full matrix is computed once up front. Both scratch buffers are
+  // per-thread and keep their capacity across steps; no step calls another,
+  // so one of each per thread suffices.
+  thread_local FeatureSoA soa;
+  thread_local std::vector<double> matrix;
   FillFeatureSoA(doc, element_indices, features, region, &soa);
   const size_t n = features.size();
-  double* matrix = nullptr;
-  if (n <= kDistanceMatrixCap) {
-    matrix = arena->AllocateArray<double>(n * n);
+  const bool materialized = n <= kDistanceMatrixCap;
+  if (materialized) {
+    matrix.resize(n * n);
     for (size_t i = 0; i < n; ++i) {
-      util::simd::VisualDistanceRow(soa, i, matrix + i * n);
+      for (size_t j = 0; j < n; ++j) {
+        matrix[i * n + j] = VisualDistancePair(soa, i, j);
+      }
     }
   }
   auto dist = [&](size_t fa, size_t fb) {
-    return matrix != nullptr ? matrix[fa * n + fb]
-                             : util::simd::VisualDistancePair(soa, fa, fb);
+    return materialized ? matrix[fa * n + fb]
+                        : VisualDistancePair(soa, fa, fb);
   };
 
   // --- seed selection: one medoid per occupied cell of a g×g grid ---
@@ -407,22 +431,6 @@ std::vector<std::vector<size_t>> ClusterElementsWithArena(
   return clusters;
 }
 
-/// Per-thread arena backing the public `ClusterElements` entry point.
-/// `Segment` threads its own per-call arena through the recursion instead.
-util::Arena& ClusterArena() {
-  thread_local util::Arena arena;
-  return arena;
-}
-
-}  // namespace
-
-std::vector<std::vector<size_t>> ClusterElements(
-    const Document& doc, const std::vector<size_t>& element_indices,
-    const util::BBox& region, const SegmenterConfig& config) {
-  return ClusterElementsWithArena(doc, element_indices, region, config,
-                                  &ClusterArena());
-}
-
 namespace {
 
 /// Per-`Segment` memo of normalized `EmbedText` vectors, keyed by layout
@@ -598,7 +606,7 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
                       const SegmenterConfig& config,
                       const SegmentReferencePaths& paths,
                       const raster::PageRaster* page,
-                      NodeEmbedCache* embed_cache, util::Arena* arena) {
+                      NodeEmbedCache* embed_cache) {
   const doc::LayoutNode& node = tree->node(node_id);
   if (node.depth >= config.max_depth) return;
   if (node.element_indices.size() < config.min_elements_to_split) return;
@@ -683,7 +691,7 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
   // Phase 2: implicit modifiers via visual clustering.
   if (parts.size() <= 1 && config.enable_visual_clustering) {
     VS2_TRACE_SPAN_ARG("segment.cluster", depth);
-    parts = ClusterElementsWithArena(doc, indices, region, config, arena);
+    parts = ClusterElements(doc, indices, region, config);
   }
   if (parts.size() <= 1) return;  // leaf: logical block
 
@@ -717,7 +725,7 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
   std::vector<size_t> children = tree->node(node_id).children;
   for (size_t child : children) {
     SegmentRecursive(doc, tree, child, embedding, config, paths, page,
-                     embed_cache, arena);
+                     embed_cache);
   }
 }
 
@@ -749,12 +757,8 @@ Result<doc::LayoutTree> SegmentWithReferencePaths(
       page = raster::PageRaster(boxes, config.grid_scale);
     }
     NodeEmbedCache embed_cache;
-    // One arena per call: clustering scratch (distance matrices) is rewound
-    // between steps and its chunks are reused across the whole recursion.
-    util::Arena arena;
     SegmentRecursive(doc, &tree, tree.root(), embedding, config, paths,
-                     paths.rasterize_per_node ? nullptr : &page, &embed_cache,
-                     &arena);
+                     paths.rasterize_per_node ? nullptr : &page, &embed_cache);
   }
   VS2_RETURN_IF_ERROR(tree.Validate(doc));
   return tree;

@@ -89,6 +89,33 @@ double VisualDistance(const VisualFeatures& a, const VisualFeatures& b,
                       const doc::AtomicElement& ea,
                       const doc::AtomicElement& eb, const util::BBox& region);
 
+/// \brief The Table 1 features of one clustering step in structure-of-arrays
+/// form. `theta_origin`/`theta_anti` are the per-element angles of
+/// `util::SumOfAngularDistances`: the pairwise sum decomposes as
+/// |θo_i − θo_j| + |θa_i − θa_j|, so a clustering step needs two `atan2`
+/// per element instead of four per pair (DESIGN.md §13).
+struct FeatureSoA {
+  std::vector<double> centroid_x, centroid_y;
+  std::vector<double> height;
+  std::vector<double> lab_l, lab_a, lab_b;
+  std::vector<double> angular;
+  std::vector<double> theta_origin, theta_anti;
+
+  size_t size() const { return centroid_x.size(); }
+};
+
+/// Fills `soa` for one clustering step: `features[k]` are the Table 1
+/// features of `doc.elements[element_indices[k]]` within `region`.
+void FillFeatureSoA(const doc::Document& doc,
+                    const std::vector<size_t>& element_indices,
+                    const std::vector<VisualFeatures>& features,
+                    const util::BBox& region, FeatureSoA* soa);
+
+/// `VisualDistance` between entries `i` and `j` of `soa`, bit-identical to
+/// it: the same operations in the same order, with the angular term read
+/// from the precomputed angles.
+double VisualDistancePair(const FeatureSoA& soa, size_t i, size_t j);
+
 /// \brief Runs VS2-Segment and returns the layout tree. `embedding`
 /// provides the Word2Vec-style vectors for Eq. 1. Every element box is
 /// snapped to the page lattice once per call and the recursion crops

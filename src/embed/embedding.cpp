@@ -4,7 +4,6 @@
 
 #include "util/math.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::embed {
@@ -23,15 +22,13 @@ int Vocabulary::Lookup(const std::string& word) const {
 Embedding::Embedding(int dim) : dim_(dim > 0 ? dim : 64) {}
 
 void Embedding::Normalize(std::vector<float>* v) {
-  // The norm accumulates sequentially in double at every SIMD level, so
-  // normalized vectors are bit-identical across kernels (DESIGN.md §13).
   double norm = 0.0;
   for (float x : *v) norm += static_cast<double>(x) * x;
   if (norm <= 0.0) return;
   double inv = 1.0 / std::sqrt(norm);
   float inv_f = static_cast<float>(inv);
   if (std::isfinite(inv_f)) {
-    util::simd::ScaleF32(v->data(), inv_f, v->size());
+    for (float& x : *v) x *= inv_f;
     return;
   }
   // norm underflowed so far that 1/sqrt(norm) overflows float — the regime
@@ -145,7 +142,9 @@ void Embedding::EmbedInto(const std::string& word,
   // Blend: 80% topical signal, 20% subword signal, renormalized. The blend
   // keeps misspelled in-vocabulary variants near their clean forms.
   const std::vector<float>& trained = vectors_[static_cast<size_t>(id)];
-  util::simd::BlendF32(out->data(), trained.data(), 0.8f, 0.2f, out->size());
+  for (size_t i = 0; i < out->size(); ++i) {
+    (*out)[i] = 0.8f * trained[i] + 0.2f * (*out)[i];
+  }
   Normalize(out);
 }
 
@@ -163,7 +162,7 @@ void Embedding::EmbedTextInto(const std::string& text,
   std::vector<float> scratch;  // one allocation for the whole text
   for (const std::string& w : words) {
     EmbedInto(w, &scratch);
-    util::simd::AddF32(out->data(), scratch.data(), out->size());
+    for (size_t i = 0; i < out->size(); ++i) (*out)[i] += scratch[i];
   }
   Normalize(out);
 }

@@ -1,69 +1,10 @@
 #include "triage/features.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
-#include "util/math.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::triage {
-namespace {
-
-/// Coefficient of variation (stddev / mean); zero for fewer than two samples
-/// or a non-positive mean.
-double CoefficientOfVariation(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double mean = util::Mean(xs);
-  if (mean <= 0.0) return 0.0;
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size());
-  return std::sqrt(var) / mean;
-}
-
-/// Scans the grid's clear lines along one axis: counts fully-whitespace
-/// lines, maximal runs of them, and the run centers (for spacing CV).
-struct ClearLineScan {
-  int clear = 0;
-  int bands = 0;
-  std::vector<double> band_centers;
-};
-
-template <typename ClearFn>
-ClearLineScan ScanClearLines(int extent, const ClearFn& is_clear) {
-  ClearLineScan scan;
-  int run_start = -1;
-  for (int i = 0; i < extent; ++i) {
-    if (is_clear(i)) {
-      ++scan.clear;
-      if (run_start < 0) run_start = i;
-    } else if (run_start >= 0) {
-      ++scan.bands;
-      scan.band_centers.push_back((run_start + (i - 1)) / 2.0);
-      run_start = -1;
-    }
-  }
-  if (run_start >= 0) {
-    ++scan.bands;
-    scan.band_centers.push_back((run_start + (extent - 1)) / 2.0);
-  }
-  return scan;
-}
-
-/// CV of the spacing between consecutive band centers; zero with fewer than
-/// two spacings.
-double BandSpacingCv(const std::vector<double>& centers) {
-  if (centers.size() < 3) return 0.0;
-  std::vector<double> gaps;
-  gaps.reserve(centers.size() - 1);
-  for (size_t i = 1; i < centers.size(); ++i) {
-    gaps.push_back(centers[i] - centers[i - 1]);
-  }
-  return CoefficientOfVariation(gaps);
-}
-
-}  // namespace
 
 TriageFeatures ComputeTriageFeatures(const doc::Document& doc,
                                      const raster::GridScale& scale) {
@@ -73,53 +14,21 @@ TriageFeatures ComputeTriageFeatures(const doc::Document& doc,
 
   std::vector<util::BBox> boxes;
   boxes.reserve(doc.elements.size());
-  std::vector<double> heights;
-  heights.reserve(doc.elements.size());
-  double aspect_sum = 0.0;
-  for (const doc::AtomicElement& el : doc.elements) {
-    boxes.push_back(el.bbox);
-    heights.push_back(el.bbox.height);
-    if (el.bbox.height > 0.0) aspect_sum += el.bbox.width / el.bbox.height;
-    if (el.is_text()) ++f.text_count;
-  }
-  f.median_height = util::Median(heights);
-  f.height_cv = CoefficientOfVariation(heights);
-  f.mean_aspect = aspect_sum / static_cast<double>(doc.elements.size());
-
-  util::BBox content = doc.ContentBounds();
-  double page_area = doc.width * doc.height;
-  if (page_area > 0.0) {
-    f.content_fill = (content.width * content.height) / page_area;
-  }
+  for (const doc::AtomicElement& el : doc.elements) boxes.push_back(el.bbox);
 
   // One coarse rasterization of the content window. The margins outside the
   // content bounds are trivially whitespace, so cropping to the content
-  // keeps the clear-line fractions about the layout, not the page border.
-  raster::OccupancyGrid grid = raster::RasterizeBoxes(boxes, content, scale);
+  // keeps the occupancy about the layout, not the page border.
+  raster::OccupancyGrid grid =
+      raster::RasterizeBoxes(boxes, doc.ContentBounds(), scale);
   if (grid.width() <= 0 || grid.height() <= 0) return f;
   f.occupancy = grid.OccupancyRatio();
-
-  ClearLineScan rows = ScanClearLines(
-      grid.height(), [&](int y) { return grid.RowClear(y); });
-  ClearLineScan cols = ScanClearLines(
-      grid.width(), [&](int x) { return grid.ColClear(x); });
-  f.clear_row_frac = static_cast<double>(rows.clear) / grid.height();
-  f.clear_col_frac = static_cast<double>(cols.clear) / grid.width();
-  f.row_bands = rows.bands;
-  f.col_bands = cols.bands;
-  f.row_band_spacing_cv = BandSpacingCv(rows.band_centers);
   return f;
 }
 
 std::string TriageFeatures::ToJson() const {
-  return util::Format(
-      "{\"element_count\":%zu,\"text_count\":%zu,\"occupancy\":%.4f,"
-      "\"clear_row_frac\":%.4f,\"clear_col_frac\":%.4f,\"row_bands\":%d,"
-      "\"col_bands\":%d,\"row_band_spacing_cv\":%.4f,\"median_height\":%.2f,"
-      "\"height_cv\":%.4f,\"mean_aspect\":%.3f,\"content_fill\":%.4f}",
-      element_count, text_count, occupancy, clear_row_frac, clear_col_frac,
-      row_bands, col_bands, row_band_spacing_cv, median_height, height_cv,
-      mean_aspect, content_fill);
+  return util::Format("{\"element_count\":%zu,\"occupancy\":%.4f}",
+                      element_count, occupancy);
 }
 
 }  // namespace vs2::triage

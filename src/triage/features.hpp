@@ -4,14 +4,9 @@
 /// \file features.hpp
 /// Cheap layout statistics for triage pre-classification (DESIGN.md §16).
 ///
-/// Everything here is computable in microseconds from one coarse
-/// `raster::OccupancyGrid` pass over the document's content bounds plus one
-/// linear pass over the element boxes — orders of magnitude cheaper than a
-/// single VS2-Segment recursion level. The grid features read the packed
-/// `ws_rows`/`ws_cols` whitespace bitsets through `RowClear`/`ColClear`:
-/// full-width clear rows/columns are exactly the straight separator bands an
-/// XY-cut would find, so their count and regularity measure how "cuttable"
-/// the page is before any segmentation runs.
+/// Computable in microseconds from one coarse `raster::OccupancyGrid` pass
+/// over the document's content bounds — orders of magnitude cheaper than a
+/// single VS2-Segment recursion level.
 
 #include <cstddef>
 #include <string>
@@ -21,28 +16,11 @@
 
 namespace vs2::triage {
 
-/// Layout statistics of one document at classification time.
+/// Layout statistics of one document at classification time: the inputs of
+/// `RouteFeatures`.
 struct TriageFeatures {
   size_t element_count = 0;  ///< atomic elements on the page
-  size_t text_count = 0;     ///< textual elements among them
-
-  // --- occupancy-grid features (content-bounds window, coarse lattice) ----
-  double occupancy = 0.0;       ///< occupied cell fraction of the window
-  double clear_row_frac = 0.0;  ///< fraction of window rows fully whitespace
-  double clear_col_frac = 0.0;  ///< fraction of window columns fully whitespace
-  int row_bands = 0;            ///< maximal runs of consecutive clear rows
-  int col_bands = 0;            ///< maximal runs of consecutive clear columns
-  /// Coefficient of variation of the spacing between consecutive clear-row
-  /// band centers — the cut-axis regularity signal. Forms place field rows on
-  /// a near-uniform rhythm (low CV); free-form posters do not. Zero when
-  /// fewer than three bands exist (no spacing sample).
-  double row_band_spacing_cv = 0.0;
-
-  // --- element-box features (no raster needed) ----------------------------
-  double median_height = 0.0;  ///< median element height, layout units
-  double height_cv = 0.0;      ///< coefficient of variation of heights
-  double mean_aspect = 0.0;    ///< mean width/height ratio
-  double content_fill = 0.0;   ///< content-bounds area / page area
+  double occupancy = 0.0;    ///< occupied cell fraction of the content window
 
   /// One-line JSON rendering (debugging aid for `vs2_extract --triage`).
   std::string ToJson() const;

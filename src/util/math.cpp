@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/simd.hpp"
-
 namespace vs2::util {
 
 double Mean(const std::vector<double>& xs) {
@@ -49,16 +47,34 @@ double PearsonCorrelation(const std::vector<double>& xs,
   return sxy / std::sqrt(sxx * syy);
 }
 
+namespace {
+
+/// Sequential double accumulation. The pinned pipeline digests depend on
+/// this exact summation order: a lane-blocked sum rounds differently and can
+/// flip near-ties in VS2-Select's disambiguation.
+template <typename T>
+double Cosine(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size() || a.empty()) return 0.0;
+  double dot = 0.0, na = 0.0, nb = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    dot += static_cast<double>(a[i]) * b[i];
+    na += static_cast<double>(a[i]) * a[i];
+    nb += static_cast<double>(b[i]) * b[i];
+  }
+  if (na <= 0.0 || nb <= 0.0) return 0.0;
+  return dot / (std::sqrt(na) * std::sqrt(nb));
+}
+
+}  // namespace
+
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  return simd::CosineF64(a.data(), b.data(), a.size());
+  return Cosine(a, b);
 }
 
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  return simd::CosineF32(a.data(), b.data(), a.size());
+  return Cosine(a, b);
 }
 
 size_t FirstInflectionPoint(const std::vector<double>& series,

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "core/algorithm1.hpp"
@@ -15,6 +17,7 @@
 #include "core/select.hpp"
 #include "datasets/pretrained.hpp"
 #include "raster/renderer.hpp"
+#include "util/rng.hpp"
 
 namespace vs2::core {
 namespace {
@@ -401,6 +404,55 @@ TEST(VisualDistanceTest, IdenticalElementsAtZero) {
   doc::AtomicElement el = doc::MakeTextElement("w", {50, 50, 10, 10}, {});
   VisualFeatures f = ComputeVisualFeatures(el, {0, 0, 100, 100}, 20.0);
   EXPECT_NEAR(VisualDistance(f, f, el, el, {0, 0, 100, 100}), 0.0, 1e-9);
+}
+
+/// Pins the clustering distance (angles precomputed per element by
+/// `FillFeatureSoA`, pairs by `VisualDistancePair`) to the pairwise
+/// `VisualDistance` formula: same elements, same region, same bits. The
+/// second region is offset and smaller, and refills the same SoA, as the
+/// segmenter's reused scratch does.
+TEST(VisualDistanceTest, SoAPairMatchesCoreFormula) {
+  util::Rng rng(0xC0DE);
+  doc::Document d;
+  d.width = 320.0;
+  d.height = 240.0;
+  for (int k = 0; k < 40; ++k) {
+    doc::AtomicElement el = doc::MakeTextElement(
+        "w", {rng.UniformDouble(0.0, 280.0), rng.UniformDouble(0.0, 200.0),
+              rng.UniformDouble(2.0, 60.0), rng.UniformDouble(2.0, 24.0)});
+    el.color = {rng.UniformDouble(0.0, 100.0), rng.UniformDouble(-60.0, 60.0),
+                rng.UniformDouble(-60.0, 60.0)};
+    d.elements.push_back(el);
+  }
+  FeatureSoA soa;
+  for (const util::BBox& region : {util::BBox{0.0, 0.0, 320.0, 240.0},
+                                   util::BBox{40.0, 30.0, 200.0, 150.0}}) {
+    std::vector<size_t> indices;
+    for (size_t k = 0; k < d.elements.size(); ++k) {
+      if (d.elements[k].bbox.Intersects(region)) indices.push_back(k);
+    }
+    double max_h = 1.0;
+    for (size_t k : indices) {
+      max_h = std::max(max_h, d.elements[k].bbox.height);
+    }
+    std::vector<VisualFeatures> features;
+    for (size_t k : indices) {
+      features.push_back(ComputeVisualFeatures(d.elements[k], region, max_h));
+    }
+    FillFeatureSoA(d, indices, features, region, &soa);
+    ASSERT_EQ(soa.size(), indices.size());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      for (size_t j = 0; j < indices.size(); ++j) {
+        double expected =
+            VisualDistance(features[i], features[j], d.elements[indices[i]],
+                           d.elements[indices[j]], region);
+        double got = VisualDistancePair(soa, i, j);
+        EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+            << "region x=" << region.x << " i=" << i << " j=" << j << ": "
+            << expected << " vs " << got;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- InterestPoints --

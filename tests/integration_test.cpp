@@ -283,35 +283,47 @@ TEST(PipelineDeterminismTest, SameInputsSameExtractions) {
 }
 
 // The response bytes of `Process` (triage off, shipped per-dataset config)
-// over a small seeded corpus, pinned as one FNV-1a digest per dataset. Any
-// change to segmentation, selection or serialization shows up here first.
+// over small seeded corpora, pinned as one FNV-1a digest per row: documents
+// [first, num_documents) of the generated corpus. Any change to
+// segmentation, selection or serialization shows up here first.
 TEST(PipelineGoldenTest, ProcessResponsesMatchPinnedDigests) {
   const embed::Embedding& emb = datasets::PretrainedEmbedding();
   const struct {
     doc::DatasetId dataset;
+    uint64_t seed;
+    size_t first;
+    size_t num_documents;
     uint64_t digest;
   } kGolden[] = {
-      {doc::DatasetId::kD1TaxForms, 0x72d6d49239a84e83ULL},
-      {doc::DatasetId::kD2EventPosters, 0x3ff035fbe91134f2ULL},
-      {doc::DatasetId::kD3RealEstateFlyers, 0x6b3bba51fc98d661ULL},
+      {doc::DatasetId::kD1TaxForms, 4242, 0, 12, 0x72d6d49239a84e83ULL},
+      {doc::DatasetId::kD2EventPosters, 4242, 0, 12, 0x3ff035fbe91134f2ULL},
+      {doc::DatasetId::kD3RealEstateFlyers, 4242, 0, 12,
+       0x6b3bba51fc98d661ULL},
+      // A poster whose event title and description are a near-tie in
+      // disambiguation, decided by the last bits of an embedding cosine:
+      // summing the cosine lane-blocked (as SIMD code does) instead of
+      // sequentially swaps the two answers.
+      {doc::DatasetId::kD2EventPosters, 7, 25, 26, 0xf31f62e6f1b8b782ULL},
   };
   for (const auto& golden : kGolden) {
     core::Vs2 vs2(golden.dataset, emb, core::DefaultConfigFor(golden.dataset));
     datasets::GeneratorConfig gc;
-    gc.num_documents = 12;
-    gc.seed = 4242;
+    gc.num_documents = golden.num_documents;
+    gc.seed = golden.seed;
+    const std::vector<doc::Document> docs =
+        datasets::Generate(golden.dataset, gc).documents;
     std::string responses;
-    for (const doc::Document& d :
-         datasets::Generate(golden.dataset, gc).documents) {
-      auto result = vs2.Process(d);
+    for (size_t i = golden.first; i < docs.size(); ++i) {
+      auto result = vs2.Process(docs[i]);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       responses += doc::ExtractionsToJson(*result);
       responses.push_back('\n');
     }
     EXPECT_NE(responses.find("\"entity\""), std::string::npos);
     EXPECT_EQ(util::Fnv1a64(responses), golden.digest)
-        << "dataset " << static_cast<int>(golden.dataset) << " digest 0x"
-        << std::hex << util::Fnv1a64(responses);
+        << "dataset " << static_cast<int>(golden.dataset) << " seed "
+        << golden.seed << " digest 0x" << std::hex
+        << util::Fnv1a64(responses);
   }
 }
 

@@ -66,19 +66,8 @@ TEST(TriageFeaturesTest, GoldenValuesOnGridFixture) {
   doc::Document d = GridFixture();
   TriageFeatures f = ComputeTriageFeatures(d, raster::GridScale{0.125});
   EXPECT_EQ(f.element_count, 12u);
-  EXPECT_EQ(f.text_count, 12u);
-  EXPECT_DOUBLE_EQ(f.median_height, 10.0);
-  EXPECT_DOUBLE_EQ(f.height_cv, 0.0);  // perfectly uniform type size
-  EXPECT_DOUBLE_EQ(f.mean_aspect, 4.0);
-  // Four rows of boxes -> four occupied bands -> three interior clear
-  // bands plus none at the cropped content edges.
-  EXPECT_EQ(f.row_bands, 3);
-  EXPECT_NEAR(f.row_band_spacing_cv, 0.0, 1e-9);  // regular rhythm
-  EXPECT_GT(f.clear_row_frac, 0.5);  // 10-unit type in 90-unit pitch
   EXPECT_GT(f.occupancy, 0.0);
   EXPECT_LT(f.occupancy, 0.5);
-  EXPECT_GT(f.content_fill, 0.3);
-  EXPECT_LT(f.content_fill, 0.6);
 }
 
 TEST(TriageFeaturesTest, EmptyDocumentIsAllZeros) {
@@ -86,7 +75,6 @@ TEST(TriageFeaturesTest, EmptyDocumentIsAllZeros) {
       ComputeTriageFeatures(NearBlankPage(0), raster::GridScale{0.125});
   EXPECT_EQ(f.element_count, 0u);
   EXPECT_DOUBLE_EQ(f.occupancy, 0.0);
-  EXPECT_EQ(f.row_bands, 0);
 }
 
 TEST(TriageFeaturesTest, ToJsonIsWellFormed) {
@@ -96,7 +84,9 @@ TEST(TriageFeaturesTest, ToJsonIsWellFormed) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"element_count\":12"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"row_bands\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find(util::Format("\"occupancy\":%.4f", f.occupancy)),
+            std::string::npos)
+      << json;
 }
 
 // -------------------------------------------------------------- Routing --

@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/color.hpp"
 #include "util/geometry.hpp"
 #include "util/math.hpp"
@@ -404,6 +402,16 @@ TEST(MathTest, CosineSimilarityBasics) {
   EXPECT_NEAR(util::CosineSimilarity(std::vector<double>{1, 0},
                                      std::vector<double>{-1, 0}),
               -1.0, 1e-12);
+  // Zero-norm and empty operands are exactly 0, not NaN.
+  std::vector<float> zero(64, 0.0f);
+  std::vector<float> unit(64, 0.0f);
+  unit[0] = 1.0f;
+  EXPECT_EQ(util::CosineSimilarity(zero, unit), 0.0);
+  EXPECT_EQ(util::CosineSimilarity(unit, zero), 0.0);
+  EXPECT_EQ(util::CosineSimilarity(zero, zero), 0.0);
+  EXPECT_EQ(util::CosineSimilarity(std::vector<float>{},
+                                   std::vector<float>{}),
+            0.0);
 }
 
 TEST(MathTest, FirstInflectionPointOfCubic) {
@@ -517,109 +525,6 @@ TEST(StringsTest, FormatAndReplace) {
   EXPECT_EQ(util::Format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(util::ReplaceAll("a{X}b{X}", "{X}", "!"), "a!b!");
   EXPECT_EQ(util::StripChars("..a.b..", "."), "a.b");
-}
-
-// ------------------------------------------------------------------ Arena --
-
-bool IsAligned(const void* p, size_t align) {
-  return reinterpret_cast<uintptr_t>(p) % align == 0;
-}
-
-TEST(ArenaTest, AllocationsAreAlignedIncludingOverAligned) {
-  util::Arena arena(/*first_chunk_bytes=*/256);
-  // Deliberately misalign the cursor before each over-aligned request.
-  for (size_t align : {size_t{1}, size_t{8}, size_t{16}, size_t{32},
-                       size_t{64}, size_t{128}}) {
-    arena.Allocate(1, 1);
-    void* p = arena.Allocate(align, align);
-    EXPECT_TRUE(IsAligned(p, align)) << "align " << align;
-  }
-}
-
-TEST(ArenaTest, DistinctLiveAllocationsDoNotOverlap) {
-  util::Arena arena(/*first_chunk_bytes=*/128);  // forces chunk growth
-  std::vector<std::pair<char*, size_t>> blocks;
-  for (size_t i = 0; i < 64; ++i) {
-    size_t n = 17 + i * 3;
-    char* p = arena.AllocateArray<char>(n);
-    std::memset(p, static_cast<int>(i), n);
-    blocks.emplace_back(p, n);
-  }
-  // Every block still holds its own fill pattern — no two overlapped.
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    for (size_t j = 0; j < blocks[i].second; ++j) {
-      ASSERT_EQ(blocks[i].first[j], static_cast<char>(i)) << i << "/" << j;
-    }
-  }
-}
-
-TEST(ArenaTest, ResetRetainsChunksForSteadyStateReuse) {
-  util::Arena arena(/*first_chunk_bytes=*/1024);
-  auto workload = [&arena] {
-    for (int i = 0; i < 100; ++i) arena.AllocateArray<double>(32);
-  };
-  workload();
-  arena.Reset();
-  size_t warm_chunks = arena.chunk_count();
-  size_t warm_reserved = arena.bytes_reserved();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // The O(1)-mallocs-steady-state contract: repeating the same working
-  // set after Reset allocates no further chunks.
-  for (int round = 0; round < 10; ++round) {
-    workload();
-    arena.Reset();
-  }
-  EXPECT_EQ(arena.chunk_count(), warm_chunks);
-  EXPECT_EQ(arena.bytes_reserved(), warm_reserved);
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnChunk) {
-  util::Arena arena(/*first_chunk_bytes=*/64);
-  char* big = arena.AllocateArray<char>(1 << 20);
-  std::memset(big, 0x5a, 1 << 20);  // must be real, writable storage
-  EXPECT_GE(arena.bytes_reserved(), size_t{1} << 20);
-}
-
-TEST(ArenaTest, MarkRewindReclaimsScopedAllocations) {
-  util::Arena arena(/*first_chunk_bytes=*/256);
-  arena.AllocateArray<char>(100);
-  size_t before = arena.bytes_used();
-  {
-    util::ArenaScope scope(&arena);
-    arena.AllocateArray<char>(10000);  // spills into later chunks
-    EXPECT_GT(arena.bytes_used(), before);
-  }
-  EXPECT_EQ(arena.bytes_used(), before);
-  // Memory rewound by the scope is handed out again.
-  size_t reserved = arena.bytes_reserved();
-  arena.AllocateArray<char>(10000);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, CreateConstructsInPlace) {
-  util::Arena arena;
-  struct Node {
-    int id;
-    double score;
-  };
-  Node* n = arena.Create<Node>(Node{7, 0.5});
-  EXPECT_EQ(n->id, 7);
-  EXPECT_EQ(n->score, 0.5);
-  EXPECT_TRUE(IsAligned(n, alignof(Node)));
-}
-
-TEST(ArenaTest, ArenaAllocatorBacksStlContainers) {
-  util::Arena arena;
-  std::vector<int, util::ArenaAllocator<int>> v{
-      util::ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(v[i], i);
-  EXPECT_GT(arena.bytes_reserved(), 1000 * sizeof(int));
-  EXPECT_TRUE(util::ArenaAllocator<int>(&arena) ==
-              util::ArenaAllocator<double>(&arena));
-  util::Arena other;
-  EXPECT_TRUE(util::ArenaAllocator<int>(&arena) !=
-              util::ArenaAllocator<int>(&other));
 }
 
 }  // namespace
